@@ -430,17 +430,39 @@ def pattern_from_dict(d: Mapping) -> StabilityPattern:
     if unknown:
         raise ValueError(f"unknown pattern fields: {sorted(unknown)}")
     points = []
-    for entry in d.get("points", ()):
+    for entry in _json_list(d.get("points", []), "pattern 'points'"):
+        if not isinstance(entry, Mapping):
+            raise ValueError("each pattern point must be a JSON object")
         extra = set(entry) - {"pos", "inC", "cofinalLevels"}
         if extra:
             raise ValueError(f"unknown point fields: {sorted(extra)}")
-        points.append(PatternPoint(pos=parse_ordinal(entry["pos"]),
-                                   in_c=bool(entry["inC"]),
-                                   cofinal_levels=frozenset(int(x) for x in entry.get("cofinalLevels", ()))))
-    st = tuple(sorted(((parse_ordinal(a), parse_ordinal(b), int(deg))
-                       for a, b, deg in d.get("st", ())),
-                      key=lambda t: (t[0].terms, t[1].terms)))
-    return StabilityPattern(points=tuple(points), st=st)
+        in_c = entry["inC"]
+        if not isinstance(in_c, bool):
+            raise ValueError(f"point 'inC' must be true or false, got {in_c!r}")
+        levels = _json_list(entry.get("cofinalLevels", []), "point 'cofinalLevels'")
+        points.append(PatternPoint(pos=parse_ordinal(entry["pos"]), in_c=in_c,
+                                   cofinal_levels=frozenset(_json_int(x, "cofinal level")
+                                                            for x in levels)))
+    st = []
+    for rel in _json_list(d.get("st", []), "pattern 'st'"):
+        if not (isinstance(rel, (list, tuple)) and len(rel) == 3):
+            raise ValueError("each 'st' entry must be a list [position, position, degree]")
+        a, b, deg = rel
+        st.append((parse_ordinal(a), parse_ordinal(b), _json_int(deg, "degree")))
+    st.sort(key=lambda t: (t[0].terms, t[1].terms))
+    return StabilityPattern(points=tuple(points), st=tuple(st))
+
+
+def _json_list(value, what: str) -> list | tuple:
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{what} must be a JSON list")
+    return value
+
+
+def _json_int(value, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 def result_to_dict(result: SimulationResult) -> dict:

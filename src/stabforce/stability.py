@@ -20,6 +20,7 @@ range; that is what makes the whole structure exactly computable.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -43,11 +44,20 @@ class StabilitySystem:
     """Finitely presented stability system: bound plus per-level exception maps.
 
     Immutable value type.  ``depth`` is the largest level carrying exceptions
-    (at least 1); queries at deeper levels see all-default maps.  Derived-order
-    results are memoized per instance; the caches are semantically invisible.
+    (at least 1); queries at deeper levels see all-default maps.
+
+    A system made by ``with_bound`` or ``with_exception`` keeps a private link
+    ``_base`` to an end-extension base: a system on its chain whose keys all
+    lie below its own bound and whose exceptions it repeats below that bound.
+    Every derived fact at points below the base's bound is decided by those
+    exceptions, so queries there are answered, and memoized, by the base, and
+    ``validate`` re-checks only the keys at or above it.  Derived-order caches
+    and validation reports are thereby shared along end-extensions; they are
+    semantically invisible, and the link takes no part in equality.
     """
 
-    __slots__ = ("bound", "levels", "_hash", "_lt_cache", "_pred_cache", "_valid", "__weakref__")
+    __slots__ = ("bound", "levels", "_hash", "_lt_cache", "_pred_cache", "_report", "_base",
+                 "__weakref__")
 
     def __init__(self, bound: Ordinal, exceptions: Mapping[int, Mapping[Ordinal, Ordinal]] | None = None):
         if not isinstance(bound, Ordinal):
@@ -67,7 +77,8 @@ class StabilitySystem:
         self._hash = hash((bound, self.levels))
         self._lt_cache: dict = {}
         self._pred_cache: dict = {}
-        self._valid: bool | None = None
+        self._report: ValidationReport | None = None
+        self._base: StabilitySystem | None = None
 
     @property
     def top(self) -> Ordinal:
@@ -98,7 +109,9 @@ class StabilitySystem:
         return max(keys) if keys else None
 
     def with_bound(self, new_bound: Ordinal) -> "StabilitySystem":
-        return StabilitySystem(new_bound, self._as_dict())
+        q = StabilitySystem(new_bound, self._as_dict())
+        q._base = self._base_at_most(new_bound)
+        return q
 
     def with_exception(self, k: int, key: Ordinal, value: Ordinal) -> "StabilitySystem":
         d = self._as_dict()
@@ -106,16 +119,33 @@ class StabilitySystem:
         if key in lvl:
             raise ValueError(f"level {k} already has an exception at {key}")
         lvl[key] = value
-        return StabilitySystem(self.bound, d)
+        q = StabilitySystem(self.bound, d)
+        q._base = self._base_at_most(key)
+        return q
+
+    def _base_at_most(self, cut: Ordinal) -> "StabilitySystem | None":
+        """The nearest system on self's chain (self first) whose bound is at
+        most ``cut`` and whose keys all lie below its bound.
+
+        A system keeping self's exceptions below ``cut`` repeats the found
+        system's exceptions below that system's bound.  Only self can fail the
+        key clause: links are made only to systems that pass it.
+        """
+        node: StabilitySystem | None = self
+        while node is not None and not (node.bound <= cut and node._keys_below_bound()):
+            node = node._base
+        return node
+
+    def _keys_below_bound(self) -> bool:
+        top_key = self.max_key()
+        return top_key is None or top_key < self.bound
 
     def _as_dict(self) -> dict[int, dict[Ordinal, Ordinal]]:
         return {k: dict(entries) for k, entries in self.levels}
 
     @property
     def is_valid(self) -> bool:
-        if self._valid is None:
-            self._valid = validate(self).valid
-        return self._valid
+        return validate(self).valid
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, StabilitySystem)
@@ -203,16 +233,32 @@ def f_eval(p: StabilitySystem, k: int, alpha: Ordinal) -> Ordinal | None:
 
 
 def lt_k(p: StabilitySystem, k: int, alpha: Ordinal, beta: Ordinal) -> bool:
-    """Strict level-k order.  Decided from the exception keys in (alpha, beta]."""
+    """Strict level-k order.  Decided from the exception keys in (alpha, beta].
+
+    Levels above ``depth`` carry no keys, so k is clamped to it exactly.
+    """
     if k < 1:
         raise ValueError("level must be >= 1")
     _require_in_universe(p, alpha, beta)
-    return _lt(p, k, alpha, beta)
+    return _lt(p, min(k, p.depth), alpha, beta)
+
+
+def _owner(p: StabilitySystem, beta: Ordinal) -> StabilitySystem:
+    """The oldest system on p's end-extension chain whose bound exceeds beta.
+
+    It repeats p's exceptions at and below beta, so it decides, and caches,
+    every derived fact whose upper point is beta.
+    """
+    base = p._base
+    while base is not None and beta < base.bound:
+        p, base = base, base._base
+    return p
 
 
 def _lt(p: StabilitySystem, k: int, alpha: Ordinal, beta: Ordinal) -> bool:
     if not alpha < beta:
         return False
+    p = _owner(p, beta)
     key = (k, alpha, beta)
     cached = p._lt_cache.get(key)
     if cached is not None:
@@ -243,7 +289,7 @@ def le_k(p: StabilitySystem, k: int, alpha: Ordinal, beta: Ordinal) -> bool:
     if k < 0:
         raise ValueError("level must be >= 0")
     _require_in_universe(p, alpha, beta)
-    return _le(p, k, alpha, beta)
+    return _le(p, min(k, p.depth), alpha, beta)
 
 
 def _le(p: StabilitySystem, k: int, alpha: Ordinal, beta: Ordinal) -> bool:
@@ -260,10 +306,13 @@ def pred_set(p: StabilitySystem, k: int, beta: Ordinal) -> IntervalSet:
     Computed level by level with a top-down scan over the exception keys,
     carrying the running minimum of the values seen so far: between two
     consecutive keys every point passes iff it is at most that minimum.
+    Levels above ``depth`` carry no keys, so k is clamped to it exactly.
     """
     if k < 1:
         raise ValueError("level must be >= 1")
     _require_in_universe(p, beta)
+    p = _owner(p, beta)
+    k = min(k, p.depth)
     key = (k, beta)
     cached = p._pred_cache.get(key)
     if cached is not None:
@@ -366,13 +415,34 @@ def validate(p: StabilitySystem) -> ValidationReport:
     their key; V4 continuity (a below-identity value may not sit at a lim2
     point of its level's index chain, where the liminf forces the identity);
     V5 each value sits below its key in the key's own level order.
+
+    The report is stored on the system.  A system with an end-extension base
+    inherits the base's V2-V5 violations, which concern only keys below the
+    base's bound, and checks the remaining keys itself; the report equals a
+    from-scratch run, violation order included.
     """
+    pending: list[StabilitySystem] = []
+    node: StabilitySystem | None = p
+    while node is not None and node._report is None:
+        pending.append(node)
+        node = node._base
+    for node in reversed(pending):
+        node._report = _fresh_report(node)
+    return p._report
+
+
+def _fresh_report(p: StabilitySystem) -> ValidationReport:
+    base = p._base
+    inherited = base._report.violations if base is not None else ()
     violations: list[Violation] = []
     if not p.bound.is_successor:
         violations.append(Violation("V1", 0, format_ordinal(p.bound),
                                     "bound must be a successor ordinal"))
     for k, entries in p.levels:
+        violations.extend(x for x in inherited if x.level == k)
         for g, v in entries:
+            if base is not None and g < base.bound:
+                continue
             subject = format_ordinal(g)
             if not g < p.bound:
                 violations.append(Violation("V2", k, subject, "key not below the bound"))
@@ -503,6 +573,9 @@ def system_to_dict(p: StabilitySystem) -> dict:
     }
 
 
+_LEVEL_KEY = re.compile(r"[1-9][0-9]*")
+
+
 def system_from_dict(d: Mapping) -> StabilitySystem:
     if not isinstance(d, Mapping):
         raise ValueError("system must be a JSON object")
@@ -512,10 +585,16 @@ def system_from_dict(d: Mapping) -> StabilitySystem:
     if "bound" not in d:
         raise ValueError("system is missing 'bound'")
     bound = parse_ordinal(d["bound"])
+    levels = d.get("levels", {})
+    if not isinstance(levels, Mapping):
+        raise ValueError("system 'levels' must be a JSON object")
     exceptions: dict[int, dict[Ordinal, Ordinal]] = {}
-    for k_text, entries in (d.get("levels") or {}).items():
-        k = int(k_text)
-        exceptions[k] = {parse_ordinal(g): parse_ordinal(v) for g, v in entries.items()}
+    for k_text, entries in levels.items():
+        if not (isinstance(k_text, str) and _LEVEL_KEY.fullmatch(k_text)):
+            raise ValueError(f"level key {k_text!r} must be a decimal integer >= 1")
+        if not isinstance(entries, Mapping):
+            raise ValueError(f"level {k_text} must map keys to values in a JSON object")
+        exceptions[int(k_text)] = {parse_ordinal(g): parse_ordinal(v) for g, v in entries.items()}
     return StabilitySystem(bound, exceptions)
 
 

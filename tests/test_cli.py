@@ -170,3 +170,53 @@ def test_duplicate_json_keys_rejected(capsys, tmp_path):
     path.write_text('{"bound": "w+1", "levels": {}, "bound": "w+1"}', encoding="utf-8")
     code, _, err = run_cli(capsys, "validate", str(path))
     assert code == 2 and "duplicate" in err
+
+
+def test_rel_level_far_above_depth(capsys, system_file):
+    for a, b in (("3", "w*3"), ("7", "w*3")):
+        _, expect, _ = run_cli(capsys, "rel", "--k", "1", a, b, system_file)
+        code, out, err = run_cli(capsys, "rel", "--k", "5000", a, b, system_file)
+        assert (code, out, err) == (0, expect, "")
+
+
+@pytest.mark.parametrize("levels", [
+    {"1": ["w*2"]},
+    ["w*2"],
+    None,
+    {"0": {"w*2": "5"}},
+    {"-1": {"w*2": "5"}},
+    {"01": {"w*2": "5"}},
+    {"1.5": {"w*2": "5"}},
+    {"one": {"w*2": "5"}},
+])
+def test_malformed_levels_rejected(capsys, tmp_path, levels):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"bound": "w*3", "levels": levels}), encoding="utf-8")
+    code, out, err = run_cli(capsys, "validate", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("input error: ") and err.count("\n") == 1
+
+
+def _point(**fields):
+    return {"pos": "w*6", "inC": True, "cofinalLevels": [], **fields}
+
+
+@pytest.mark.parametrize("pattern", [
+    {"points": [_point(inC="false")]},
+    {"points": [_point(inC=0)]},
+    {"points": ["w*6"]},
+    {"points": {"pos": "w*6"}},
+    {"points": [_point(cofinalLevels=[True])]},
+    {"points": [_point(cofinalLevels=[1.0])]},
+    {"points": [_point(cofinalLevels="1")]},
+    {"points": [_point(), _point(pos="w*20")], "st": [["w*6", "w*20", True]]},
+    {"points": [_point(), _point(pos="w*20")], "st": [["w*6", "w*20", 1.5]]},
+    {"points": [_point(), _point(pos="w*20")], "st": [["w*6", "w*20"]]},
+    {"points": [_point(), _point(pos="w*20")], "st": ["w*6"]},
+])
+def test_malformed_pattern_rejected(capsys, tmp_path, pattern):
+    path = tmp_path / "bad_pattern.json"
+    path.write_text(json.dumps(pattern), encoding="utf-8")
+    code, out, err = run_cli(capsys, "simulate", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("input error: ") and err.count("\n") == 1
