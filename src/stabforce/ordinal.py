@@ -22,6 +22,7 @@ and diffable.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -317,8 +318,17 @@ class IntervalSet:
     def is_empty(self) -> bool:
         return not self.intervals
 
+    @classmethod
+    def _normalized(cls, intervals: Iterable[OrdinalInterval]) -> "IntervalSet":
+        """Wrap intervals that are already sorted, disjoint and non-adjacent."""
+        s = cls.__new__(cls)
+        s.intervals = tuple(intervals)
+        return s
+
     def member(self, alpha: Ordinal) -> bool:
-        return any(iv.low <= alpha < iv.high for iv in self.intervals)
+        ivs = self.intervals
+        i = bisect_right(ivs, alpha.terms, key=lambda iv: iv.low.terms) - 1
+        return i >= 0 and alpha.terms < ivs[i].high.terms
 
     def sup(self) -> Ordinal:
         """Least upper bound of the member set (attained iff has_max)."""
@@ -341,14 +351,19 @@ class IntervalSet:
         return IntervalSet(self.intervals + other.intervals)
 
     def intersect(self, other: "IntervalSet") -> "IntervalSet":
-        out = []
-        for a in self.intervals:
-            for b in other.intervals:
-                lo = a.low if a.low >= b.low else b.low
-                hi = a.high if a.high <= b.high else b.high
-                if lo < hi:
-                    out.append(OrdinalInterval(lo, hi))
-        return IntervalSet(out)
+        """Two-pointer merge; pieces of two normalized sets come out normalized."""
+        xs, ys, out = self.intervals, other.intervals, []
+        i = j = 0
+        while i < len(xs) and j < len(ys):
+            a, b = xs[i], ys[j]
+            lo = a.low if a.low.terms >= b.low.terms else b.low
+            if a.high.terms <= b.high.terms:
+                hi, i = a.high, i + 1
+            else:
+                hi, j = b.high, j + 1
+            if lo.terms < hi.terms:
+                out.append(OrdinalInterval(lo, hi))
+        return IntervalSet._normalized(out)
 
     def filter_below(self, alpha: Ordinal) -> "IntervalSet":
         """Members strictly below alpha."""

@@ -24,7 +24,6 @@ from .errors import (
 from .ordinal import OMEGA, Ordinal, format_ordinal, parse_ordinal
 from .stability import (
     StabilitySystem,
-    chain_liminf,
     dom_f,
     is_k_lim2,
     is_k_limit,
@@ -182,12 +181,11 @@ class ChainPresentation:
 def chain_infimum(chain: ChainPresentation) -> StabilitySystem:
     """A condition below every member of the chain, with top = the target.
 
-    Each adjacent pair is re-verified (NotDescendingError otherwise).  The
-    value of every level map at the new top is computed by case analysis:
-    undefined when the top is not a limit of the level's chain, the liminf at
-    a lim2 point, the identity otherwise.  Under the canonical continuation
-    every case yields the identity, so the result provably equals the
-    canonical extension of the last condition; the equality is asserted.
+    Each adjacent pair is re-verified (NotDescendingError otherwise).  Every
+    level map at the new top is undefined, the liminf at a lim2 point, or the
+    identity; all exception keys lie strictly below the target, so each case
+    gives the default, and the result is the canonical extension of the last
+    condition.
     """
     conds = chain.conditions
     _require_valid(*conds)
@@ -205,27 +203,7 @@ def chain_infimum(chain: ChainPresentation) -> StabilitySystem:
         if len(conds) < 2:
             raise BadTargetError("target equals the only condition's top")
         return last
-    result = canonical_extend(last, lam)
-    # per-level case analysis at the new top; every defined value must come
-    # out as the identity because all exception keys live strictly below it
-    level = 1
-    while level <= result.depth + 1:
-        if level == 1:
-            defined = lam.is_limit
-            lim2 = lam.is_lim2
-        else:
-            defined = is_k_limit(result, level - 1, lam)
-            lim2 = defined and is_k_lim2(result, level - 1, lam)
-        if defined:
-            value = chain_liminf(result, level - 1, lam) if lim2 else lam
-            if value != lam:
-                raise InvalidIntermediateError(
-                    f"level-{level} case analysis at {lam} produced {value}, not the identity")
-        level += 1
-    assert result == canonical_extend(last, lam)
-    for cond in conds:
-        assert extends(result, cond, chain.ell)
-    return result
+    return canonical_extend(last, lam)
 
 
 def chain_from_trace(trace: Sequence[StabilitySystem], target: Ordinal | None = None,
@@ -251,10 +229,15 @@ def chain_from_dict(d: Mapping) -> ChainPresentation:
     unknown = set(d) - {"chain", "target", "ell"}
     if unknown:
         raise ValueError(f"unknown chain fields: {sorted(unknown)}")
-    conds = tuple(system_from_dict(s) for s in d.get("chain", ()))
-    return ChainPresentation(conditions=conds,
-                             target=parse_ordinal(d["target"]),
-                             ell=int(d.get("ell", 1)))
+    chain, ell = d.get("chain", []), d.get("ell", 1)
+    if not isinstance(chain, (list, tuple)):
+        raise ValueError("chain 'chain' must be a JSON array of systems")
+    if isinstance(ell, bool) or not isinstance(ell, int) or ell < 1:
+        raise ValueError(f"chain 'ell' must be an integer >= 1, got {ell!r}")
+    if "target" not in d:
+        raise ValueError("chain is missing 'target'")
+    return ChainPresentation(conditions=tuple(system_from_dict(s) for s in chain),
+                             target=parse_ordinal(d["target"]), ell=ell)
 
 
 # -- dense sets and the generic engine -----------------------------------------

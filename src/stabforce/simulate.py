@@ -13,6 +13,7 @@ and a finite-horizon analogue of the "below infinity" analysis.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping
 
 from .errors import InvalidConditionError, InvalidIntermediateError
@@ -22,10 +23,12 @@ from .stability import (
     CheckReport,
     StabilitySystem,
     Violation,
+    _constrains,
     dom_f,
     f_eval,
     le_k,
     lt_k,
+    pred_set,
     system_to_dict,
     validate,
 )
@@ -52,10 +55,12 @@ class StabilityPattern:
     st: tuple[tuple[Ordinal, Ordinal, int], ...]
 
     def degree(self, i: Ordinal, j: Ordinal) -> int:
-        for a, b, d in self.st:
-            if a == i and b == j:
-                return d
-        return 0
+        return self._degrees.get((i, j), 0)
+
+    @cached_property
+    def _degrees(self) -> dict[tuple[Ordinal, Ordinal], int]:
+        # reversed, so the first entry for a pair wins
+        return {(a, b): d for a, b, d in reversed(self.st)}
 
     def point_at(self, pos: Ordinal) -> PatternPoint:
         for pt in self.points:
@@ -399,14 +404,10 @@ def _blocking_witness(g: StabilitySystem, alpha: Ordinal,
     for k in range(1, g.depth + 1):
         if lt_k(g, k, alpha, theta):
             continue
+        below = pred_set(g, k - 1, theta) if k > 1 else None
         for key, value in g.entries_at(k):
-            if not (alpha < key <= theta) or value >= alpha:
-                continue
-            if not dom_f(g, k, key):
-                continue
-            if k >= 2 and not le_k(g, k - 1, key, theta):
-                continue
-            return (k, key, value)
+            if alpha < key <= theta and value < alpha and _constrains(g, k, key, theta, below):
+                return (k, key, value)
         return (k, theta, theta)  # unreachable for well-formed systems
     return None
 

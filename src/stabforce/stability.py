@@ -15,12 +15,18 @@ The derived orders are::
 Default points satisfy the threshold automatically (f(g) = g > a), so every
 quantifier is decided by inspecting only the finitely many exception keys in
 range; that is what makes the whole structure exactly computable.
+
+One kernel does that inspection: ``pred_set(p, k, b)``, the interval set of
+the a with a <_k b, and every order query is membership in it.  Its levels
+are computed bottom-up in a loop, the level-(k-1) set deciding which
+level-k keys lie on the chain of b, and cached per (level, point).
 """
 
 from __future__ import annotations
 
 import json
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -56,8 +62,7 @@ class StabilitySystem:
     semantically invisible, and the link takes no part in equality.
     """
 
-    __slots__ = ("bound", "levels", "_hash", "_lt_cache", "_pred_cache", "_report", "_base",
-                 "__weakref__")
+    __slots__ = ("bound", "levels", "_hash", "_pred_cache", "_report", "_base", "__weakref__")
 
     def __init__(self, bound: Ordinal, exceptions: Mapping[int, Mapping[Ordinal, Ordinal]] | None = None):
         if not isinstance(bound, Ordinal):
@@ -75,7 +80,6 @@ class StabilitySystem:
         self.bound = bound
         self.levels = tuple(levels)
         self._hash = hash((bound, self.levels))
-        self._lt_cache: dict = {}
         self._pred_cache: dict = {}
         self._report: ValidationReport | None = None
         self._base: StabilitySystem | None = None
@@ -233,7 +237,7 @@ def f_eval(p: StabilitySystem, k: int, alpha: Ordinal) -> Ordinal | None:
 
 
 def lt_k(p: StabilitySystem, k: int, alpha: Ordinal, beta: Ordinal) -> bool:
-    """Strict level-k order.  Decided from the exception keys in (alpha, beta].
+    """Strict level-k order: alpha <_k beta iff alpha is in ``pred_set(p, k, beta)``.
 
     Levels above ``depth`` carry no keys, so k is clamped to it exactly.
     """
@@ -256,32 +260,7 @@ def _owner(p: StabilitySystem, beta: Ordinal) -> StabilitySystem:
 
 
 def _lt(p: StabilitySystem, k: int, alpha: Ordinal, beta: Ordinal) -> bool:
-    if not alpha < beta:
-        return False
-    p = _owner(p, beta)
-    key = (k, alpha, beta)
-    cached = p._lt_cache.get(key)
-    if cached is not None:
-        return cached
-    result = True
-    if k > 1 and not _lt(p, k - 1, alpha, beta):
-        result = False
-    else:
-        for g, v in p.entries_at(k):
-            if not (alpha < g <= beta):
-                continue
-            if v >= alpha:
-                continue
-            # a key only constrains the order when it denotes a genuine
-            # level-k domain point sitting on the level-(k-1) chain of beta
-            if not dom_f(p, k, g):
-                continue
-            if k >= 2 and not _le(p, k - 1, g, beta):
-                continue
-            result = False
-            break
-    p._lt_cache[key] = result
-    return result
+    return alpha < beta and _pred(p, k, beta).member(alpha)
 
 
 def le_k(p: StabilitySystem, k: int, alpha: Ordinal, beta: Ordinal) -> bool:
@@ -303,53 +282,60 @@ def _le(p: StabilitySystem, k: int, alpha: Ordinal, beta: Ordinal) -> bool:
 def pred_set(p: StabilitySystem, k: int, beta: Ordinal) -> IntervalSet:
     """The set { a < beta : a <_k beta } as a normalized interval set.
 
-    Computed level by level with a top-down scan over the exception keys,
-    carrying the running minimum of the values seen so far: between two
-    consecutive keys every point passes iff it is at most that minimum.
-    Levels above ``depth`` carry no keys, so k is clamped to it exactly.
+    The only place exception keys are scanned; ``lt_k``, ``le_k`` and
+    ``dom_f`` read their answers off it.  Levels are walked bottom-up in a
+    loop and each level's set is cached per (level, point).  Levels above
+    ``depth`` carry no keys, so k is clamped to it exactly.
     """
     if k < 1:
         raise ValueError("level must be >= 1")
     _require_in_universe(p, beta)
+    return _pred(p, k, beta)
+
+
+def _pred(p: StabilitySystem, k: int, beta: Ordinal) -> IntervalSet:
+    """pred_set without the argument checks; level 0 gives [0, beta)."""
     p = _owner(p, beta)
     k = min(k, p.depth)
-    key = (k, beta)
-    cached = p._pred_cache.get(key)
-    if cached is not None:
-        return cached
-    if beta.is_zero:
-        result = IntervalSet()
-    else:
-        result = IntervalSet.of((ZERO, beta))
-        for j, _entries in p.levels:
-            if j > k:
-                break
-            result = result.intersect(IntervalSet(_level_threshold_intervals(p, j, beta)))
-    p._pred_cache[key] = result
+    cache = p._pred_cache
+    result = cache.get((k, beta))
+    if result is not None:
+        return result
+    result = IntervalSet.of((ZERO, beta))
+    for j, entries in p.levels:
+        if j > k:
+            break
+        below, result = result, cache.get((j, beta))
+        if result is None:
+            result = below.intersect(_thresholds(p, j, entries, beta, below))
+            cache[(j, beta)] = result
+    cache[(k, beta)] = result
     return result
 
 
-def _level_threshold_intervals(p: StabilitySystem, j: int, beta: Ordinal) -> list[OrdinalInterval]:
-    keys = []
-    for g, v in p.entries_at(j):
-        if not g <= beta:
-            continue
-        if not dom_f(p, j, g):
-            continue
-        if j >= 2 and not _le(p, j - 1, g, beta):
-            continue
-        keys.append((g, v))
-    keys.sort(key=lambda gv: gv[0].terms, reverse=True)
+def _thresholds(p: StabilitySystem, j: int, entries: Entries, beta: Ordinal,
+                below: IntervalSet) -> IntervalSet:
+    """The a < beta kept by every constraining level-j key in (a, beta].
+
+    Walks the keys at or below beta downward with the running minimum of
+    their values: between consecutive keys a point passes iff it is at most
+    that minimum.  Keys valued at or above themselves bind nothing and are
+    skipped, so each capped end is a successor below the limit key starting
+    the next interval, and the output is normalized.
+    """
     out: list[OrdinalInterval] = []
-    upper = beta
-    cap: Ordinal | None = None
-    for g, v in keys:
+    upper, cap = beta, None
+    for i in range(bisect_right(entries, beta.terms, key=lambda gv: gv[0].terms) - 1, -1, -1):
+        g, v = entries[i]
+        if not (v < g and _constrains(p, j, g, beta, below)):
+            continue
         if g < upper:
             _emit(out, g, upper, cap)
             upper = g
         cap = v if cap is None or v < cap else cap
     _emit(out, ZERO, upper, cap)
-    return out
+    out.reverse()
+    return IntervalSet._normalized(out)
 
 
 def _emit(out: list[OrdinalInterval], lo: Ordinal, hi: Ordinal, cap: Ordinal | None) -> None:
@@ -361,10 +347,22 @@ def _emit(out: list[OrdinalInterval], lo: Ordinal, hi: Ordinal, cap: Ordinal | N
         out.append(OrdinalInterval(lo, hi))
 
 
+def _constrains(p: StabilitySystem, j: int, g: Ordinal, beta: Ordinal,
+                below: IntervalSet | None) -> bool:
+    """Is the level-j key g <= beta a level-j domain point with g <=_{j-1} beta?
+    ``below``, the level-(j-1) predecessor set of beta, is unused at level 1."""
+    if j == 1:
+        return g.is_limit
+    return (g == beta or below.member(g)) and _is_limit_set(_pred(p, j - 1, g))
+
+
+def _is_limit_set(s: IntervalSet) -> bool:
+    return not s.is_empty and not s.has_max()
+
+
 def is_k_limit(p: StabilitySystem, k: int, alpha: Ordinal) -> bool:
     """alpha is a level-k limit: its strict predecessor set is nonempty with no max."""
-    s = pred_set(p, k, alpha)
-    return not s.is_empty and not s.has_max()
+    return _is_limit_set(pred_set(p, k, alpha))
 
 
 def is_k_lim2(p: StabilitySystem, k: int, alpha: Ordinal) -> bool:

@@ -220,3 +220,38 @@ def test_malformed_pattern_rejected(capsys, tmp_path, pattern):
     code, out, err = run_cli(capsys, "simulate", str(path))
     assert code == 2 and out == ""
     assert err.startswith("input error: ") and err.count("\n") == 1
+
+
+def test_level_far_above_one_in_file(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps({"bound": "w*3+1", "levels": {"5000": {"w*2": "5"}}}),
+                    encoding="utf-8")
+    code, out, err = run_cli(capsys, "validate", str(path))
+    assert (code, out, err) == (0, "valid\n", "")
+    for a, expect in (("3", "true\n"), ("7", "false\n")):
+        assert run_cli(capsys, "rel", "--k", "5000", a, "w*2", str(path)) == (0, expect, "")
+    assert run_cli(capsys, "rel", "--k", "4999", "7", "w*2", str(path)) == (0, "true\n", "")
+    assert run_cli(capsys, "preds", "--k", "5000", "w*3", str(path)) == \
+        (0, "[0, 6) u [w*2, w*3)\n", "")
+    assert run_cli(capsys, "preds", "--k", "4999", "w*3", str(path)) == (0, "[0, w*3)\n", "")
+
+
+_CHAIN = [{"bound": "w*3+1", "levels": {"1": {"w*2": "5"}}}]
+
+
+@pytest.mark.parametrize("chain, message", [
+    ({"chain": {"0": _CHAIN[0]}, "target": "w*5", "ell": 1}, "'chain' must be a JSON array"),
+    ({"chain": "w*3+1", "target": "w*5", "ell": 1}, "'chain' must be a JSON array"),
+    ({"chain": _CHAIN, "target": "w*5", "ell": True}, "'ell' must be an integer >= 1"),
+    ({"chain": _CHAIN, "target": "w*5", "ell": 1.7}, "'ell' must be an integer >= 1"),
+    ({"chain": _CHAIN, "target": "w*5", "ell": "1"}, "'ell' must be an integer >= 1"),
+    ({"chain": _CHAIN, "target": "w*5", "ell": 0}, "'ell' must be an integer >= 1"),
+    ({"chain": _CHAIN, "ell": 1}, "missing 'target'"),
+])
+def test_malformed_chain_rejected(capsys, tmp_path, chain, message):
+    path = tmp_path / "bad_chain.json"
+    path.write_text(json.dumps(chain), encoding="utf-8")
+    code, out, err = run_cli(capsys, "infimum", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("input error: ") and err.count("\n") == 1
+    assert message in err

@@ -10,6 +10,7 @@ from stabforce.ordinal import (
     ZERO,
     IntervalSet,
     Ordinal,
+    OrdinalInterval,
     compare,
     format_ordinal,
     largest_limit_below,
@@ -167,6 +168,36 @@ def test_interval_set_algebra_matches_membership(s, t, x):
     assert s.union(t).member(x) == (s.member(x) or t.member(x))
     assert s.intersect(t).member(x) == (s.member(x) and t.member(x))
     assert s.filter_below(x).member(x) is False
+
+
+def nested_loop_intersect(s, t):
+    """Every pairwise overlap, normalized by the public constructor."""
+    out = []
+    for a in s.intervals:
+        for b in t.intervals:
+            lo = max(a.low, b.low, key=lambda x: x.terms)
+            hi = min(a.high, b.high, key=lambda x: x.terms)
+            if lo < hi:
+                out.append(OrdinalInterval(lo, hi))
+    return IntervalSet(out)
+
+
+_wide_interval_sets = st.lists(
+    st.tuples(_ordinals, _ordinals).map(lambda ab: tuple(sorted(ab, key=lambda a: a.terms))),
+    max_size=10,
+).map(lambda pairs: IntervalSet.of(*[(a, b) for a, b in pairs if a < b]))
+
+
+@given(_wide_interval_sets, _wide_interval_sets)
+def test_merge_intersect_matches_nested_loop(s, t):
+    assert s.intersect(t).intervals == nested_loop_intersect(s, t).intervals
+
+
+@given(_wide_interval_sets, _ordinals)
+def test_bisect_member_matches_linear_scan(s, x):
+    assert s.member(x) == any(iv.low <= x < iv.high for iv in s.intervals)
+    for iv in s.intervals:
+        assert s.member(iv.low) and not s.member(iv.high)
 
 
 @given(_interval_sets)

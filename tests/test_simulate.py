@@ -21,7 +21,9 @@ from stabforce import (
 )
 from stabforce.errors import InvalidConditionError, TargetNotReachableError
 from stabforce.ordinal import parse_ordinal as O
+from stabforce.poset import canonical_extend
 from stabforce.simulate import make_pattern, minimality_to_dict
+from stabforce.stability import dom_f, probe_points
 
 
 def levels_of(p: StabilitySystem) -> dict:
@@ -60,6 +62,21 @@ def test_validate_pattern_a3():
     rep = validate_pattern(make_pattern([("w*6", True, [2])]))
     assert "A3" in [v.check for v in rep.violations]
     assert validate_pattern(make_pattern([("w*6", True, [1, 2])])).passed
+
+
+def test_degree_lookup_matches_scan():
+    pts = [("w*6", True, [1]), ("w*20", True, [1]), ("w*40", True, [])]
+    st = [("w*6", "w*40", 2), ("w*20", "w*40", 1), ("w*6", "w*20", 2), ("w*6", "w*20", 1)]
+    pattern = make_pattern(pts, st)
+    fresh = make_pattern(pts, st)
+    for i, _, _ in pts:
+        for j, _, _ in pts:
+            scan = next((d for a, b, d in pattern.st if a == O(i) and b == O(j)), 0)
+            assert pattern.degree(O(i), O(j)) == scan
+    # the memoized lookup is invisible to equality, hashing and the encoding
+    assert pattern == fresh and hash(pattern) == hash(fresh)
+    assert pattern_to_dict(pattern) == pattern_to_dict(fresh)
+    assert dataclasses.replace(pattern) == fresh
 
 
 # -- assignments ------------------------------------------------------------------
@@ -256,6 +273,31 @@ def test_minimality_antimonotone_p2_p3(pattern_p2, pattern_p3):
     s2 = set(minimality_report(run_construction(pattern_p2), grid).survivors)
     s3 = set(minimality_report(run_construction(pattern_p3), grid).survivors)
     assert s3 <= s2  # deepening the pattern never unblocks a settled point
+
+
+def test_blocking_witness_is_first_constraining_key(pattern_p2, pattern_p3):
+    pos = [f"w*{6 + 4 * i}" for i in range(8)]
+    deep = make_pattern([(x, True, [1] if i % 3 == 0 else []) for i, x in enumerate(pos)],
+                        [(pos[i], pos[i + 1], 2 if i % 3 == 0 else 1) for i in range(7)])
+    seen = set()
+    for pattern in (pattern_p2, pattern_p3, deep):
+        r = run_construction(pattern)
+        rep = minimality_report(r, probe_points(r.g))
+        theta = rep.theta
+        ghat = canonical_extend(r.g, theta)
+        for fate in rep.fates:
+            a = fate.alpha
+            if fate.blocked_at is None:
+                assert all(lt_k(ghat, k, a, theta) for k in range(1, ghat.depth + 1))
+                continue
+            k, key, value = fate.blocked_at
+            seen.add(k)
+            assert not lt_k(ghat, k, a, theta) and (k == 1 or lt_k(ghat, k - 1, a, theta))
+            constraining = [g for g, v in ghat.entries_at(k)
+                            if a < g <= theta and v < a and dom_f(ghat, k, g)
+                            and le_k(ghat, k - 1, g, theta)]
+            assert constraining[0] == key and ghat.exception_value(k, key) == value
+    assert seen == {1, 2, 3}
 
 
 # -- JSON --------------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from stabforce import (
@@ -21,7 +23,10 @@ from stabforce import (
     validate,
 )
 from stabforce.errors import NotLim2Error, OutOfBoundsError
+from stabforce.gen import random_system
+from stabforce.oracle import BruteEvaluator
 from stabforce.ordinal import parse_ordinal as O
+from stabforce.simulate import make_pattern, run_construction
 
 
 def test_dom_f_examples(pstar):
@@ -252,3 +257,70 @@ def test_json_rejects_unknown_fields():
         system_from_dict({"bound": "1", "extra": 3})
     with pytest.raises(ValueError):
         system_from_dict({"levels": {}})
+
+
+# -- the pred_set kernel against the per-key scan ----------------------------------
+
+
+def scan_lt(p, k, a, b, memo):
+    """a <_k b by the per-key scan lt_k used before it became a pred_set
+    lookup: a <_{k-1} b, and no level-k domain key g in (a, b] on the
+    level-(k-1) chain of b has a value below a."""
+    if not a < b:
+        return False
+    key = (k, a, b)
+    if key not in memo:
+        memo[key] = (k == 1 or scan_lt(p, k - 1, a, b, memo)) and not any(
+            a < g <= b and v < a and dom_f(p, k, g)
+            and (k == 1 or g == b or scan_lt(p, k - 1, g, b, memo))
+            for g, v in p.entries_at(k))
+    return memo[key]
+
+
+def assert_kernel_matches_scan(p, pts, brute=None):
+    memo = {}
+    for k in range(1, p.depth + 2):
+        for b in pts:
+            s = pred_set(p, k, b)
+            assert IntervalSet(s.intervals) == s, (k, b)
+            for a in pts:
+                expect = scan_lt(p, k, a, b, memo)
+                assert lt_k(p, k, a, b) == expect == s.member(a), (k, a, b)
+                assert le_k(p, k, a, b) == (a == b or expect), (k, a, b)
+                if brute is not None:
+                    assert brute.lt(k, a, b) == expect, (k, a, b)
+
+
+def test_key_valued_above_itself_binds_nothing():
+    # a V3 violation: no point below w is kept from w*2 by the value w+3
+    p = StabilitySystem(O("w*3+1"), {1: {O("w"): O("w+3")}, 2: {O("w*2"): O("w*2+1")}})
+    grid = probe_points(p, extra=[O("w+3"), O("w+4")])
+    for k in (1, 2, 3):
+        assert pred_set(p, k, O("w*2")).intervals == IntervalSet.of((O("0"), O("w*2"))).intervals
+    assert_kernel_matches_scan(p, grid)
+
+
+def _chain_pattern(n):
+    """n club points w*6, w*10, ...; every third carries cofinality flag 1
+    and degree 2 in its successor, the rest degree 1."""
+    pos = [f"w*{6 + 4 * i}" for i in range(n)]
+    flags = [[1] if i % 3 == 0 else [] for i in range(n)]
+    return make_pattern([(pos[i], True, flags[i]) for i in range(n)],
+                        [(pos[i], pos[i + 1], 1 + len(flags[i])) for i in range(n - 1)])
+
+
+@pytest.mark.parametrize("points", [20, 40])
+def test_kernel_matches_scan_on_constructions(points):
+    g = run_construction(_chain_pattern(points)).g
+    assert g.exception_count() == 2 * points and not g.bound < O("w*20")
+    grid = probe_points(g)
+    step = -(-len(grid) // 40)
+    assert_kernel_matches_scan(g, grid[::step] + grid[-1:])
+
+
+def test_kernel_matches_scan_and_oracle_on_random_systems():
+    rng = random.Random(11)
+    for _ in range(60):
+        p = random_system(rng, small=True)
+        brute = BruteEvaluator(p)
+        assert_kernel_matches_scan(p, probe_points(p, extra=brute.limits), brute)
