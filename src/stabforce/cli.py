@@ -1,16 +1,20 @@
 """Command-line surface: validation, order queries, extensions, simulation.
 
 Exit codes: 0 success, 1 a validator or check failed (or an extension target
-is unreachable), 2 malformed input.  Every command takes --json for machine
-output; identical invocations produce identical bytes.
+is unreachable), 2 malformed input, 141 (128 + SIGPIPE) stdout was closed
+before the output was written, e.g. by ``| head``; nothing is printed then.
+Every command takes --json for machine output; identical invocations produce
+identical bytes.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
+from functools import cache
 
 from .dot import export_dot
 from .errors import (
@@ -65,7 +69,7 @@ from .stability import (
     validate,
 )
 
-OK, CHECK_FAILED, INPUT_ERROR = 0, 1, 2
+OK, CHECK_FAILED, INPUT_ERROR, BROKEN_PIPE = 0, 1, 2, 141
 
 _INPUT_ERRORS = (OrdinalSyntaxError, NonCanonicalError, OutOfBoundsError,
                  OutOfRangeError, BadTargetError, NotLim2Error,
@@ -309,7 +313,9 @@ def cmd_selftest(args) -> int:
     return OK if not failures else CHECK_FAILED
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser; built once per process and reused by ``main``."""
     parser = argparse.ArgumentParser(
         prog="stabforce",
         description="Exact queries over stability systems and their forcing poset.")
@@ -379,7 +385,16 @@ def main(argv=None) -> int:
                   file=sys.stderr)
             return INPUT_ERROR
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader is gone: point stdout at devnull so the flush at
+        # interpreter exit does not raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return BROKEN_PIPE
     except (InvalidConditionError, InvalidIntermediateError, BudgetExhaustedError) as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return CHECK_FAILED

@@ -32,9 +32,12 @@ Terms = tuple[tuple[int, int], ...]
 
 
 class Ordinal:
-    """An ordinal below w^w in Cantor normal form; immutable and hashable."""
+    """An ordinal below w^w in Cantor normal form; immutable and hashable.
 
-    __slots__ = ("terms", "_hash")
+    ``_text`` memoizes the ``format_ordinal`` spelling once it is asked for.
+    """
+
+    __slots__ = ("terms", "_hash", "_text")
 
     def __init__(self, terms: Iterable[tuple[int, int]] = ()):
         tt: Terms = tuple((int(e), int(c)) for e, c in terms)
@@ -47,6 +50,7 @@ class Ordinal:
             prev = e
         self.terms = tt
         self._hash = hash(tt)
+        self._text: str | None = None
 
     @classmethod
     def from_int(cls, n: int) -> "Ordinal":
@@ -255,16 +259,22 @@ def parse_ordinal(text: str) -> Ordinal:
 
 def format_ordinal(a: Ordinal) -> str:
     """Canonical text for an ordinal; inverse of parse_ordinal."""
+    text = a._text
+    if text is not None:
+        return text
     if a.is_zero:
-        return "0"
-    parts = []
-    for e, c in a.terms:
-        if e == 0:
-            parts.append(str(c))
-        else:
-            head = "w" if e == 1 else f"w^{e}"
-            parts.append(head if c == 1 else f"{head}*{c}")
-    return "+".join(parts)
+        text = "0"
+    else:
+        parts = []
+        for e, c in a.terms:
+            if e == 0:
+                parts.append(str(c))
+            else:
+                head = "w" if e == 1 else f"w^{e}"
+                parts.append(head if c == 1 else f"{head}*{c}")
+        text = "+".join(parts)
+    a._text = text
+    return text
 
 
 # -- interval sets -----------------------------------------------------------

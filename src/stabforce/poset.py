@@ -24,6 +24,7 @@ from .errors import (
 from .ordinal import OMEGA, Ordinal, format_ordinal, parse_ordinal
 from .stability import (
     StabilitySystem,
+    disagreeing_levels,
     dom_f,
     is_k_lim2,
     is_k_limit,
@@ -82,12 +83,8 @@ def extends(q: StabilitySystem, p: StabilitySystem, ell: int) -> bool:
         raise ValueError("ell must be >= 1")
     if not q.bound >= p.bound:
         return False
-    cut = p.bound
-    all_levels = {k for k, _ in q.levels} | {k for k, _ in p.levels}
-    for k in all_levels:
-        q_below = tuple((g, v) for g, v in q.entries_at(k) if g < cut)
-        if q_below != p.entries_at(k):
-            return False
+    if disagreeing_levels(q, p, p.bound):
+        return False
     return le_k(q, ell - 1, p.top, q.top)
 
 

@@ -24,6 +24,7 @@ from .stability import (
     StabilitySystem,
     Violation,
     _constrains,
+    disagreeing_levels,
     dom_f,
     f_eval,
     le_k,
@@ -83,9 +84,10 @@ def validate_pattern(pattern: StabilityPattern) -> CheckReport:
     """Check the pattern axioms A1-A4.
 
     A1 positions ascend, sit in Lim minus Lim2 (last CNF exponent 1) and keep
-    gaps of at least w*2; A2 degree coherence across intermediate points; A3
-    cofinality flags downward closed; A4 a declared degree of a club point is
-    bounded by the level its cofinality flags force.
+    gaps of at least w*2; A2 each pair declared once, with a degree >= 1, and
+    degree coherence across intermediate points; A3 cofinality flags downward
+    closed; A4 a declared degree of a club point is bounded by the level its
+    cofinality flags force.
     """
     violations: list[Violation] = []
     pts = pattern.points
@@ -105,6 +107,7 @@ def validate_pattern(pattern: StabilityPattern) -> CheckReport:
         elif not a.pos + MIN_GAP <= b.pos:
             violations.append(Violation("A1", 0, format_ordinal(b.pos),
                                         f"gap below {a.pos} is smaller than w*2"))
+    declared: set[tuple[Ordinal, Ordinal]] = set()
     for i, j, d in pattern.st:
         if d < 1:
             violations.append(Violation("A2", 0, f"({i}, {j})",
@@ -112,6 +115,10 @@ def validate_pattern(pattern: StabilityPattern) -> CheckReport:
         if i not in positions or j not in positions or not i < j:
             violations.append(Violation("A2", 0, f"({i}, {j})",
                                         "degree must relate two listed positions in order"))
+        if (i, j) in declared:
+            violations.append(Violation("A2", 0, f"({i}, {j})",
+                                        "pair declared more than once"))
+        declared.add((i, j))
     # coherence: st(i,j) >= k+1 and st(j',j) >= k with i < j' force st(i,j') >= k+1
     for i, j, dij in pattern.st:
         for pt in pts:
@@ -265,14 +272,10 @@ def check_requirements(result: SimulationResult, pattern: StabilityPattern) -> C
             violations.append(Violation("R1", 0, format_ordinal(nxt.system.top),
                                         "bounds must be non-decreasing along the trace"))
             continue
-        cut = prev.system.bound
-        levels = {k for k, _ in nxt.system.levels} | {k for k, _ in prev.system.levels}
-        for k in levels:
-            below = tuple((x, v) for x, v in nxt.system.entries_at(k) if x < cut)
-            if below != prev.system.entries_at(k):
-                violations.append(Violation(
-                    "R1", k, format_ordinal(nxt.system.top),
-                    "trace step rewrites exceptions below the previous bound"))
+        for k in disagreeing_levels(nxt.system, prev.system, prev.system.bound):
+            violations.append(Violation(
+                "R1", k, format_ordinal(nxt.system.top),
+                "trace step rewrites exceptions below the previous bound"))
         if nxt.level is not None and not extends(nxt.system, prev.system, nxt.level):
             violations.append(Violation("R1", nxt.level, format_ordinal(nxt.system.top),
                                         "trace step is not a verified extension"))

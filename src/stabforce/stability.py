@@ -26,8 +26,9 @@ from __future__ import annotations
 
 import json
 import re
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Mapping
 
 from .errors import NotLim2Error, OutOfBoundsError
@@ -46,6 +47,10 @@ Entries = tuple[tuple[Ordinal, Ordinal], ...]
 Levels = tuple[tuple[int, Entries], ...]
 
 
+def _entry_key(entry: tuple[Ordinal, Ordinal]) -> tuple:
+    return entry[0].terms
+
+
 class StabilitySystem:
     """Finitely presented stability system: bound plus per-level exception maps.
 
@@ -60,9 +65,16 @@ class StabilitySystem:
     ``validate`` re-checks only the keys at or above it.  Derived-order caches
     and validation reports are thereby shared along end-extensions; they are
     semantically invisible, and the link takes no part in equality.
+
+    Such a system is also built from its parent's normalized parts: it shares
+    every level tuple and every entry it does not change, so an extension
+    costs only its new key.  ``_jump`` is a skew-binary jump pointer along the
+    ``_base`` links and ``_depth`` the number of links to the chain's root;
+    together they let ``_owner`` find a point's owner in logarithmic time.
     """
 
-    __slots__ = ("bound", "levels", "_hash", "_pred_cache", "_report", "_base", "__weakref__")
+    __slots__ = ("bound", "levels", "_hash", "_top", "_pred_cache", "_report",
+                 "_base", "_jump", "_depth", "__weakref__")
 
     def __init__(self, bound: Ordinal, exceptions: Mapping[int, Mapping[Ordinal, Ordinal]] | None = None):
         if not isinstance(bound, Ordinal):
@@ -74,20 +86,46 @@ class StabilitySystem:
             # identity-valued entries are the default and carry no data;
             # dropping them keeps equal systems structurally identical
             entries = tuple(sorted(((g, v) for g, v in (exceptions or {})[k].items() if g != v),
-                                   key=lambda gv: gv[0].terms))
+                                   key=_entry_key))
             if entries:
                 levels.append((int(k), entries))
+        self._init(bound, tuple(levels), None)
+
+    def _init(self, bound: Ordinal, levels: Levels, base: "StabilitySystem | None") -> None:
         self.bound = bound
-        self.levels = tuple(levels)
-        self._hash = hash((bound, self.levels))
+        self.levels = levels
+        self._hash = None
+        self._top = None
         self._pred_cache: dict = {}
         self._report: ValidationReport | None = None
-        self._base: StabilitySystem | None = None
+        self._base = base
+        if base is None:
+            self._jump, self._depth = None, 0
+        else:
+            # skew-binary rule: skip two equal jumps at once, else step one link
+            j = base._jump
+            if j is not None and j._jump is not None and \
+                    base._depth - j._depth == j._depth - j._jump._depth:
+                self._jump = j._jump
+            else:
+                self._jump = base
+            self._depth = base._depth + 1
+
+    @classmethod
+    def _derived(cls, bound: Ordinal, levels: Levels,
+                 base: "StabilitySystem | None") -> "StabilitySystem":
+        """A system from already-normalized levels, linked to ``base``."""
+        q = cls.__new__(cls)
+        q._init(bound, levels, base)
+        return q
 
     @property
     def top(self) -> Ordinal:
         """alpha(p) = bound - 1; requires a successor bound."""
-        return self.bound.predecessor()
+        top = self._top
+        if top is None:
+            top = self._top = self.bound.predecessor()
+        return top
 
     @property
     def depth(self) -> int:
@@ -113,19 +151,25 @@ class StabilitySystem:
         return max(keys) if keys else None
 
     def with_bound(self, new_bound: Ordinal) -> "StabilitySystem":
-        q = StabilitySystem(new_bound, self._as_dict())
-        q._base = self._base_at_most(new_bound)
-        return q
+        if not isinstance(new_bound, Ordinal):
+            raise TypeError("bound must be an Ordinal")
+        return self._derived(new_bound, self.levels, self._base_at_most(new_bound))
 
     def with_exception(self, k: int, key: Ordinal, value: Ordinal) -> "StabilitySystem":
-        d = self._as_dict()
-        lvl = d.setdefault(k, {})
-        if key in lvl:
+        lvl = int(k)
+        if lvl < 1:
+            raise ValueError(f"exception level {k} must be >= 1")
+        levels = self.levels
+        i = bisect_left(levels, lvl, key=itemgetter(0))
+        has_level = i < len(levels) and levels[i][0] == lvl
+        entries = levels[i][1] if has_level else ()
+        j = bisect_left(entries, key.terms, key=_entry_key)
+        if j < len(entries) and entries[j][0] == key:
             raise ValueError(f"level {k} already has an exception at {key}")
-        lvl[key] = value
-        q = StabilitySystem(self.bound, d)
-        q._base = self._base_at_most(key)
-        return q
+        if key != value:  # an identity value is the default and is not stored
+            level = (lvl, entries[:j] + ((key, value),) + entries[j:])
+            levels = levels[:i] + (level,) + levels[i + 1 if has_level else i:]
+        return self._derived(self.bound, levels, self._base_at_most(key))
 
     def _base_at_most(self, cut: Ordinal) -> "StabilitySystem | None":
         """The nearest system on self's chain (self first) whose bound is at
@@ -135,10 +179,9 @@ class StabilitySystem:
         system's exceptions below that system's bound.  Only self can fail the
         key clause: links are made only to systems that pass it.
         """
-        node: StabilitySystem | None = self
-        while node is not None and not (node.bound <= cut and node._keys_below_bound()):
-            node = node._base
-        return node
+        if cut < self.bound:
+            return _owner(self, cut)._base
+        return self if self._keys_below_bound() else self._base
 
     def _keys_below_bound(self) -> bool:
         top_key = self.max_key()
@@ -156,11 +199,36 @@ class StabilitySystem:
                 and self.bound == other.bound and self.levels == other.levels)
 
     def __hash__(self) -> int:
-        return self._hash
+        h = self._hash
+        if h is None:
+            h = self._hash = hash((self.bound, self.levels))
+        return h
 
     def __repr__(self) -> str:
         lv = {k: {str(g): str(v) for g, v in entries} for k, entries in self.levels}
         return f"StabilitySystem(bound={self.bound}, levels={lv})"
+
+
+def disagreeing_levels(q: StabilitySystem, p: StabilitySystem, cut: Ordinal) -> list[int]:
+    """The levels, ascending, at which q's exceptions below ``cut`` are not
+    exactly p's.
+
+    This is the agreement clause of an end-extension, decided here for both
+    ``poset.extends`` and check R1 of ``simulate.check_requirements``.  Each of
+    q's levels is sliced at the first key at or above ``cut`` and compared
+    with p's level as a tuple; entries an extension shares with its parent
+    compare by identity.
+    """
+    t = cut.terms
+    q_levels, p_levels = dict(q.levels), dict(p.levels)
+    out = []
+    for k in sorted(q_levels.keys() | p_levels.keys()):
+        entries = q_levels.get(k, ())
+        if entries and not entries[-1][0].terms < t:
+            entries = entries[:bisect_left(entries, t, key=_entry_key)]
+        if entries != p_levels.get(k, ()):
+            out.append(k)
+    return out
 
 
 # -- reports -----------------------------------------------------------------
@@ -248,14 +316,19 @@ def lt_k(p: StabilitySystem, k: int, alpha: Ordinal, beta: Ordinal) -> bool:
 
 
 def _owner(p: StabilitySystem, beta: Ordinal) -> StabilitySystem:
-    """The oldest system on p's end-extension chain whose bound exceeds beta.
+    """The oldest system on p's end-extension chain whose bound exceeds beta,
+    given that p's does.
 
     It repeats p's exceptions at and below beta, so it decides, and caches,
-    every derived fact whose upper point is beta.
+    every derived fact whose upper point is beta.  Bounds never increase down
+    the chain, so a jump whose target's bound still exceeds beta skips only
+    systems that do too.
     """
+    t = beta.terms
     base = p._base
-    while base is not None and beta < base.bound:
-        p, base = base, base._base
+    while base is not None and t < base.bound.terms:
+        p = p._jump if t < p._jump.bound.terms else base
+        base = p._base
     return p
 
 
@@ -325,7 +398,7 @@ def _thresholds(p: StabilitySystem, j: int, entries: Entries, beta: Ordinal,
     """
     out: list[OrdinalInterval] = []
     upper, cap = beta, None
-    for i in range(bisect_right(entries, beta.terms, key=lambda gv: gv[0].terms) - 1, -1, -1):
+    for i in range(bisect_right(entries, beta.terms, key=_entry_key) - 1, -1, -1):
         g, v = entries[i]
         if not (v < g and _constrains(p, j, g, beta, below)):
             continue
@@ -438,9 +511,9 @@ def _fresh_report(p: StabilitySystem) -> ValidationReport:
                                     "bound must be a successor ordinal"))
     for k, entries in p.levels:
         violations.extend(x for x in inherited if x.level == k)
+        if base is not None:  # keys below the base's bound are the base's
+            entries = entries[bisect_left(entries, base.bound.terms, key=_entry_key):]
         for g, v in entries:
-            if base is not None and g < base.bound:
-                continue
             subject = format_ordinal(g)
             if not g < p.bound:
                 violations.append(Violation("V2", k, subject, "key not below the bound"))

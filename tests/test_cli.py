@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -255,3 +256,26 @@ def test_malformed_chain_rejected(capsys, tmp_path, chain, message):
     assert code == 2 and out == ""
     assert err.startswith("input error: ") and err.count("\n") == 1
     assert message in err
+
+
+def test_pair_declared_twice_fails_simulate(capsys, tmp_path):
+    path = tmp_path / "twice.json"
+    path.write_text(json.dumps({
+        "points": [{"pos": "w*6", "inC": True, "cofinalLevels": [1]},
+                   {"pos": "w*20", "inC": True, "cofinalLevels": []}],
+        "st": [["w*6", "w*20", 1], ["w*6", "w*20", 2]]}), encoding="utf-8")
+    code, out, err = run_cli(capsys, "simulate", str(path))
+    assert (code, err) == (1, "")
+    assert out == "A2 @ level 0, (w*6, w*20): pair declared more than once\n"
+
+
+def test_closed_stdout_is_not_an_input_error(p3_file):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before anything is written
+    try:
+        res = subprocess.run([sys.executable, "-m", "stabforce", "simulate", "--json",
+                              p3_file, "--grid", "0,w,w*7"],
+                             stdout=write_end, stderr=subprocess.PIPE)
+    finally:
+        os.close(write_end)
+    assert (res.returncode, res.stderr) == (141, b"")

@@ -1,0 +1,90 @@
+"""Byte goldens: CLI stdout for fixed inputs, compared byte for byte.
+
+The files under ``tests/golden/`` hold the stdout of each case below.  To
+regenerate them after a deliberate output change, run this module as a
+script from the repository root::
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import io
+import json
+import sys
+from contextlib import redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from stabforce import StabilitySystem, system_to_json
+from stabforce.cli import build_parser, main
+from stabforce.ordinal import parse_ordinal as O
+from stabforce.simulate import make_pattern, pattern_to_dict
+
+GOLDEN = Path(__file__).parent / "golden"
+GRID = "0,1,5,w,w*6,w*6+3,w*7,w*8,w*19,w*20+1,w*21"
+
+PATTERNS = {
+    "p1": make_pattern([("w*6", True, [])]),
+    "p2": make_pattern([("w*6", True, []), ("w*20", True, [])], [("w*6", "w*20", 1)]),
+    "p3": make_pattern([("w*6", True, [1]), ("w*20", True, [])], [("w*6", "w*20", 2)]),
+}
+# the ``system_file`` fixture of test_cli: bound w*3+1, level 1 w*2 -> 5
+SYSTEM = StabilitySystem(O("w*3+1"), {1: {O("w*2"): O("5")}})
+
+CASES = {
+    **{f"simulate_{name}": ["simulate", "--json", f"{name}.json", "--grid", GRID]
+       for name in PATTERNS},
+    "validate": ["validate", "--json", "system.json"],
+    **{f"preds_k{k}": ["preds", "--k", str(k), "w*3", "system.json"] for k in (1, 2, 3)},
+}
+
+
+def write_inputs(directory: Path) -> None:
+    for name, pattern in PATTERNS.items():
+        (directory / f"{name}.json").write_text(json.dumps(pattern_to_dict(pattern)),
+                                                encoding="utf-8")
+    (directory / "system.json").write_text(system_to_json(SYSTEM), encoding="utf-8")
+
+
+def run_case(directory: Path, argv: list[str]) -> bytes:
+    args = [str(directory / a) if a.endswith(".json") else a for a in argv]
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        main(args)
+    return buf.getvalue().encode("utf-8")
+
+
+@pytest.fixture
+def inputs(tmp_path):
+    write_inputs(tmp_path)
+    return tmp_path
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_stdout_matches_golden(inputs, name):
+    assert run_case(inputs, CASES[name]) == (GOLDEN / f"{name}.out").read_bytes()
+
+
+def test_goldens_survive_a_parse_error_in_between(inputs, capsys):
+    """``main`` twice in one process with a parse error in between: the
+    parser, built once per process, still gives identical bytes."""
+    first = {name: run_case(inputs, argv) for name, argv in CASES.items()}
+    assert build_parser() is build_parser()
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--no-such-flag"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    second = {name: run_case(inputs, argv) for name, argv in CASES.items()}
+    assert first == second
+    assert first == {name: (GOLDEN / f"{name}.out").read_bytes() for name in CASES}
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    GOLDEN.mkdir(exist_ok=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        write_inputs(Path(tmp))
+        for name, argv in CASES.items():
+            (GOLDEN / f"{name}.out").write_bytes(run_case(Path(tmp), argv))
+            print(f"wrote {name}.out", file=sys.stderr)

@@ -14,7 +14,7 @@ import pytest
 from stabforce import StabilitySystem
 from stabforce.errors import BudgetExhaustedError, TargetNotReachableError
 from stabforce.gen import random_chain, random_system, random_tower
-from stabforce.ordinal import OMEGA
+from stabforce.ordinal import OMEGA, ONE
 from stabforce.ordinal import parse_ordinal as O
 from stabforce.poset import canonical_extend, meet_dense, taller_than, top_chain_limit
 from stabforce.simulate import (
@@ -24,7 +24,15 @@ from stabforce.simulate import (
     run_construction,
     validate_pattern,
 )
-from stabforce.stability import is_k_limit, le_k, lt_k, pred_set, probe_points, validate
+from stabforce.stability import (
+    _owner,
+    is_k_limit,
+    le_k,
+    lt_k,
+    pred_set,
+    probe_points,
+    validate,
+)
 
 PROBE_SIZE = 10
 
@@ -181,3 +189,203 @@ def test_long_chain_has_no_recursion():
         q = q.with_bound(q.bound + OMEGA)
     assert validate(q) == validate(cold(q))
     assert pred_set(q, 2, O("w*2")) == pred_set(cold(q), 2, O("w*2"))
+
+
+# -- shared structure and jump pointers ------------------------------------------
+
+
+def linear_owner(p: StabilitySystem, beta) -> StabilitySystem:
+    """``_owner`` by walking the base links one at a time."""
+    base = p._base
+    while base is not None and beta < base.bound:
+        p, base = base, base._base
+    return p
+
+
+def linear_base_at_most(p: StabilitySystem, cut):
+    """``_base_at_most`` by walking the base links one at a time."""
+    node = p
+    while node is not None and not (node.bound <= cut and node._keys_below_bound()):
+        node = node._base
+    return node
+
+
+def chain_of(q: StabilitySystem) -> list[StabilitySystem]:
+    out = []
+    while q is not None:
+        out.append(q)
+        q = q._base
+    return out
+
+
+def assert_owner_matches_linear_walk(q: StabilitySystem, betas) -> None:
+    chain = chain_of(q)
+    assert q._depth == len(chain) - 1
+    on_chain = {id(node) for node in chain}
+    for node in chain[:-1]:
+        assert id(node._jump) in on_chain and node._jump._depth < node._depth
+    assert chain[-1]._jump is None
+    for beta in betas:
+        assert _owner(q, beta) is linear_owner(q, beta), (q, beta)
+
+
+def chain_points(q: StabilitySystem) -> list:
+    """0, and each chain system's top, bound and the points around them that
+    lie below q's bound."""
+    pts = [O("0")]
+    for node in chain_of(q):
+        b = node.bound
+        pts += [b, b + ONE]
+        if b.is_successor:
+            pts.append(b.predecessor())
+    return [b for b in pts if b < q.bound]
+
+
+@pytest.fixture
+def made_from(monkeypatch):
+    """(parent, cut, made system) for every with_bound/with_exception call."""
+    out: list = []
+    for name, cut_at in (("with_bound", 0), ("with_exception", 1)):
+        original = getattr(StabilitySystem, name)
+
+        def recording(self, *args, _original=original, _cut_at=cut_at):
+            q = _original(self, *args)
+            out.append((self, args[_cut_at], q))
+            return q
+
+        monkeypatch.setattr(StabilitySystem, name, recording)
+    return out
+
+
+def assert_structure_matches_cold(q: StabilitySystem) -> None:
+    r = cold(q)
+    assert q.levels == r.levels
+    assert q == r and hash(q) == hash(r)
+    if q.bound.is_successor:
+        assert q.top == r.top
+    else:
+        for s in (q, r, q):  # a limit bound raises on every call
+            with pytest.raises(ValueError):
+                s.top
+
+
+def run_seeded_constructions(seed: int, count: int) -> None:
+    rng = random.Random(seed)
+    for t in range(count):
+        pattern = random_pattern(rng, 7, adjacent_only=t % 2 == 0)
+        try:
+            result = run_construction(pattern)
+        except TargetNotReachableError:
+            continue
+        check_requirements(result, pattern)
+        check_stable_pairs(result, pattern)
+
+
+def run_generators(seed: int) -> None:
+    rng = random.Random(seed)
+    for _ in range(12):
+        random_tower(rng)
+        random_chain(rng)
+    for i in range(6):
+        p = random_system(rng)
+        dense = [taller_than(p.top + O("w*3")), top_chain_limit(1, O(str(i % 3)))]
+        try:
+            meet_dense(p, dense, 8)
+        except BudgetExhaustedError:
+            pass
+
+
+@pytest.mark.parametrize("make", [lambda: run_seeded_constructions(4, 10),
+                                  lambda: run_generators(7)],
+                         ids=["constructions", "generators"])
+def test_extensions_share_structure_and_match_cold(made_from, make):
+    make()
+    assert made_from
+    for parent, cut, q in made_from:
+        assert_structure_matches_cold(q)
+        assert q._base is linear_base_at_most(parent, cut)
+        assert_owner_matches_linear_walk(q, chain_points(q) + list(probe_points(q)))
+
+
+def test_with_bound_reuses_the_levels():
+    p = StabilitySystem(O("w*3+1"), {1: {O("w*2"): O("5")}, 2: {O("w*3"): O("1")}})
+    q = p.with_bound(O("w*5+1"))
+    assert q.levels is p.levels
+    with pytest.raises(TypeError):
+        p.with_bound(5)
+
+
+def reference_with_exception(p: StabilitySystem, k, key, value) -> StabilitySystem:
+    """``with_exception`` as a dict rebuild."""
+    d = p._as_dict()
+    lvl = d.setdefault(k, {})
+    if key in lvl:
+        raise ValueError(f"level {k} already has an exception at {key}")
+    lvl[key] = value
+    return StabilitySystem(p.bound, d)
+
+
+def outcome(make):
+    try:
+        q = make()
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+    return ("ok", q.bound, q.levels)
+
+
+def test_with_exception_matches_a_dict_rebuild():
+    rng = random.Random(11)
+    keys = [O(t) for t in ("w", "w*2", "w*3", "w*4", "w^2", "w^2+w", "7")]
+    for _ in range(300):
+        p = random_system(rng)
+        for _ in range(4):
+            k = rng.choice([-1, 0, 1, 1, 2, 3, p.depth + 2])
+            key = rng.choice(keys + [g for _, e in p.levels for g, _ in e])
+            value = rng.choice([key, O("0"), O("3"), key + ONE])
+            got = outcome(lambda: p.with_exception(k, key, value))
+            assert got == outcome(lambda: reference_with_exception(p, k, key, value))
+            if got[0] == "ok":
+                p = p.with_exception(k, key, value)
+                assert [lvl for lvl, _ in p.levels] == sorted({lvl for lvl, _ in p.levels})
+
+
+def test_with_exception_errors_identity_and_level_order():
+    p = StabilitySystem(O("w*5+1"), {2: {O("w*2"): O("1")}})
+    for k in (0, -3):
+        with pytest.raises(ValueError, match=f"exception level {k} must be >= 1"):
+            p.with_exception(k, O("w*3"), O("1"))
+    with pytest.raises(ValueError, match="level 2 already has an exception at w\\*2"):
+        p.with_exception(2, O("w*2"), O("w*2"))
+    same = p.with_exception(3, O("w*4"), O("w*4"))  # identity: not stored
+    assert same.levels is p.levels
+    q = p.with_exception(3, O("w*4"), O("2")).with_exception(1, O("w*3"), O("0"))
+    assert [k for k, _ in q.levels] == [1, 2, 3]
+    r = q.with_exception(2, O("w"), O("0")).with_exception(2, O("w*3"), O("w"))
+    assert [g for g, _ in r.entries_at(2)] == [O("w"), O("w*2"), O("w*3")]
+    assert r.entries_at(1) is q.entries_at(1)  # untouched levels are shared
+    assert r == cold(r)
+
+
+def test_jump_walk_is_logarithmic():
+    p = StabilitySystem(O("w+1"), {1: {O("w"): O("3")}})
+    chain = [p]
+    for _ in range(3000):
+        p = p.with_bound(p.bound + OMEGA)
+        chain.append(p)
+    assert p._depth == 3000
+    assert_owner_matches_linear_walk(p, chain_points(p)[::10] + [O("w")])
+    for node in chain[::250]:
+        assert_owner_matches_linear_walk(node, chain_points(node)[::25])
+    for beta in chain_points(p)[::7] + [O("5")]:
+        steps, node = 0, p
+        while node._base is not None and beta < node._base.bound:
+            node = node._jump if beta < node._jump.bound else node._base
+            steps += 1
+        assert steps <= 3 * 3000 .bit_length(), beta
+
+
+def test_long_canonical_chain_owner_matches_linear_walk():
+    p = StabilitySystem(O("w+1"), {1: {O("w"): O("3")}})
+    for _ in range(3000):
+        p = canonical_extend(p, p.top + OMEGA)
+    assert_owner_matches_linear_walk(p, chain_points(p)[::9])

@@ -22,7 +22,7 @@ from stabforce import (
 from stabforce.errors import InvalidConditionError, TargetNotReachableError
 from stabforce.ordinal import parse_ordinal as O
 from stabforce.poset import canonical_extend
-from stabforce.simulate import make_pattern, minimality_to_dict
+from stabforce.simulate import TraceStep, make_pattern, minimality_to_dict
 from stabforce.stability import dom_f, probe_points
 
 
@@ -213,6 +213,41 @@ def test_check_requirements_detects_trace_rewrite(pattern_p1):
     assert "R1" in [v.check for v in rep.violations]
 
 
+def test_r1_report_on_a_hand_built_rewriting_trace(pattern_p2):
+    r = run_construction(pattern_p2)
+
+    def system(bound, levels):
+        return StabilitySystem(O(bound), {k: {O(g): O(v) for g, v in entries.items()}
+                                          for k, entries in levels.items()})
+
+    s1 = system("w*3+1", {1: {"w": "0", "w*2": "5"}, 2: {"w*3": "1"}})
+    s2 = system("w*5+1", {1: {"w": "0", "w*2": "6", "w*4": "0"}, 3: {"w*2": "0"}})
+    s3 = system("w*4+1", {1: {"w": "0"}})
+    s4 = s2.with_bound(O("w*7+1")).with_exception(4, O("w*6"), O("0"))
+    s5 = system("w*9+1", {2: {"w*8": "1"}, 5: {"w*3": "w*3+1"}})
+    trace = (TraceStep("start", r.trace[0].system, None), TraceStep("a", s1, None),
+             TraceStep("b", s2, 1), TraceStep("c", s3, None), TraceStep("d", s4, 2),
+             TraceStep("e", s5, 1))
+    rep = check_requirements(dataclasses.replace(r, trace=trace), pattern_p2)
+    r1 = [(v.level, v.subject, v.message) for v in rep.violations if v.check == "R1"]
+    rewrites = "trace step rewrites exceptions below the previous bound"
+    assert r1 == [
+        (1, "w*5", rewrites),
+        (2, "w*5", rewrites),
+        (3, "w*5", rewrites),
+        (1, "w*5", "trace step is not a verified extension"),
+        (0, "w*4", "bounds must be non-decreasing along the trace"),
+        (1, "w*7", rewrites),
+        (3, "w*7", rewrites),
+        (2, "w*7", "trace step is not a verified extension"),
+        (1, "w*9", rewrites),
+        (3, "w*9", rewrites),
+        (4, "w*9", rewrites),
+        (5, "w*9", rewrites),
+        (1, "w*9", "trace step is not a verified extension"),
+    ]
+
+
 # -- stable-pair ordering (eligible pairs) -------------------------------------------
 
 
@@ -323,3 +358,15 @@ def test_result_and_minimality_dicts(pattern_p3):
     m = minimality_to_dict(minimality_report(r, [O("w*6"), O("w*7")]))
     statuses = {pt["alpha"]: pt["status"] for pt in m["points"]}
     assert statuses == {"w*6": "blocked", "w*7": "survives"}
+
+
+@pytest.mark.parametrize("degrees", [(1, 2), (2, 1), (1, 1)])
+def test_pair_declared_twice_is_an_a2_violation(degrees):
+    d = {"points": [{"pos": "w*6", "inC": True, "cofinalLevels": [1]},
+                    {"pos": "w*20", "inC": True, "cofinalLevels": []}],
+         "st": [["w*6", "w*20", deg] for deg in degrees]}
+    rep = validate_pattern(pattern_from_dict(d))
+    assert [(v.check, v.subject, v.message) for v in rep.violations] == \
+        [("A2", "(w*6, w*20)", "pair declared more than once")]
+    d["st"] = d["st"][:1]
+    assert validate_pattern(pattern_from_dict(d)).passed

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from stabforce import (
     IntervalSet,
@@ -25,8 +26,10 @@ from stabforce import (
 from stabforce.errors import NotLim2Error, OutOfBoundsError
 from stabforce.gen import random_system
 from stabforce.oracle import BruteEvaluator
+from stabforce.ordinal import Ordinal, format_ordinal
 from stabforce.ordinal import parse_ordinal as O
 from stabforce.simulate import make_pattern, run_construction
+from stabforce.stability import disagreeing_levels
 
 
 def test_dom_f_examples(pstar):
@@ -324,3 +327,62 @@ def test_kernel_matches_scan_and_oracle_on_random_systems():
         p = random_system(rng, small=True)
         brute = BruteEvaluator(p)
         assert_kernel_matches_scan(p, probe_points(p, extra=brute.limits), brute)
+
+
+# -- the agreement helper and the format memo -------------------------------------
+
+
+def old_disagreeing_levels(q, p, cut) -> list[int]:
+    """The per-level filter ``extends`` and R1 used before the shared helper."""
+    out = []
+    for k in sorted({k for k, _ in q.levels} | {k for k, _ in p.levels}):
+        q_below = tuple((g, v) for g, v in q.entries_at(k) if g < cut)
+        if q_below != p.entries_at(k):
+            out.append(k)
+    return out
+
+
+def test_disagreeing_levels_matches_per_level_filter():
+    rng = random.Random(5)
+    systems = [random_system(rng) for _ in range(80)]
+    pairs = [(rng.choice(systems), rng.choice(systems)) for _ in range(300)]
+    for p in systems[:40]:  # extensions: agreeing, rewritten, and with new levels
+        q = p.with_bound(p.bound + O("w*3"))
+        pairs += [(q, p), (p, q)]
+        for k, key, value in ((1, p.top + O("w"), O("0")), (p.depth + 1, p.top + O("w*2"), O("1")),
+                              (1, O("w"), O("0")), (2, O("w*2"), O("1"))):
+            try:
+                pairs.append((q.with_exception(k, key, value), p))
+            except ValueError:
+                pass
+    seen = set()
+    for q, p in pairs:
+        for cut in (p.bound, q.bound, O("w"), O("w*2+1"), O("0")):
+            got = disagreeing_levels(q, p, cut)
+            assert got == old_disagreeing_levels(q, p, cut), (q, p, cut)
+            seen.add(bool(got))
+    assert seen == {True, False}
+    assert any({k for k, _ in q.levels} != {k for k, _ in p.levels} for q, p in pairs)
+
+
+def reference_format(a) -> str:
+    if not a.terms:
+        return "0"
+    return "+".join(str(c) if e == 0 else
+                    ("w" if e == 1 else f"w^{e}") + ("" if c == 1 else f"*{c}")
+                    for e, c in a.terms)
+
+
+_terms = st.lists(
+    st.tuples(st.integers(min_value=0, max_value=6), st.integers(min_value=1, max_value=30)),
+    max_size=5,
+).map(lambda pairs: sorted({e: c for e, c in pairs}.items(), reverse=True))
+
+
+@given(_terms)
+def test_format_ordinal_memo_matches_reference(terms):
+    a = Ordinal(terms)
+    first = format_ordinal(a)
+    assert first == reference_format(a) == str(a)
+    assert format_ordinal(a) is first  # memoized on the ordinal
+    assert format_ordinal(Ordinal(terms)) == first
