@@ -3,7 +3,7 @@
 Run:  python3 demos/01_ordinals_and_intervals.py
 """
 
-from stabforce import IntervalSet, NonCanonicalError, compare, parse_ordinal as O
+from stabforce import IntervalSet, NonCanonicalError, parse_ordinal as O
 
 print("== parsing and printing ==")
 for text in ["0", "w^2*3+w+4", "w*2+3", "w^3"]:
@@ -20,7 +20,7 @@ for text in ["w+w", "w^1", "w*0"]:
 print("\n== order and addition ==")
 pairs = [("5", "w"), ("w*2+3", "w^2"), ("w^2", "w^2")]
 for a, b in pairs:
-    verdict = {-1: "<", 0: "=", 1: ">"}[compare(O(a), O(b))]
+    verdict = "<" if O(a) < O(b) else "=" if O(a) == O(b) else ">"
     print(f"  {a} {verdict} {b}")
 print("  1 + w  =", O("1") + O("w"), "   (left addend absorbed)")
 print("  w + 1  =", O("w") + O("1"))

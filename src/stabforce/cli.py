@@ -1,7 +1,8 @@
 """Command-line surface: validation, order queries, extensions, simulation.
 
 Exit codes: 0 success, 1 a validator or check failed (or an extension target
-is unreachable), 2 malformed input, 141 (128 + SIGPIPE) stdout was closed
+is unreachable), 2 malformed input, 3 internal error (an unexpected exception,
+which is a bug; one line on stderr), 141 (128 + SIGPIPE) stdout was closed
 before the output was written, e.g. by ``| head``; nothing is printed then.
 Every command takes --json for machine output; identical invocations produce
 identical bytes.
@@ -24,7 +25,6 @@ from .errors import (
     InvalidIntermediateError,
     NonCanonicalError,
     NotDescendingError,
-    NotLim2Error,
     OrdinalSyntaxError,
     OutOfBoundsError,
     OutOfRangeError,
@@ -32,7 +32,7 @@ from .errors import (
 )
 from .gen import mutate_system, random_chain, random_system, random_tower
 from .oracle import BruteEvaluator
-from .ordinal import format_ordinal, parse_ordinal
+from .ordinal import _nat, format_ordinal, parse_ordinal
 from .poset import (
     ChainPresentation,
     PosetParams,
@@ -66,30 +66,32 @@ from .stability import (
     probe_points,
     system_from_dict,
     system_to_dict,
+    system_to_json,
     validate,
 )
 
-OK, CHECK_FAILED, INPUT_ERROR, BROKEN_PIPE = 0, 1, 2, 141
+OK, CHECK_FAILED, INPUT_ERROR, INTERNAL_ERROR, BROKEN_PIPE = 0, 1, 2, 3, 141
 
 _INPUT_ERRORS = (OrdinalSyntaxError, NonCanonicalError, OutOfBoundsError,
-                 OutOfRangeError, BadTargetError, NotLim2Error,
+                 OutOfRangeError, BadTargetError,
                  json.JSONDecodeError, ValueError, KeyError, OSError)
 
 
 def _no_dupes(pairs):
-    seen = set()
     out = {}
     for key, value in pairs:
-        if key in seen:
+        if key in out:
             raise ValueError(f"duplicate JSON key {key!r}")
-        seen.add(key)
         out[key] = value
     return out
 
 
 def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh, object_pairs_hook=_no_dupes)
+        try:
+            return json.load(fh, object_pairs_hook=_no_dupes, parse_int=_nat)
+        except RecursionError:
+            raise ValueError("JSON nesting is too deep") from None
 
 
 def _load_system(path: str) -> StabilitySystem:
@@ -145,7 +147,7 @@ def cmd_extend(args) -> int:
         except TargetNotReachableError as exc:
             print(f"target not reachable: {exc}", file=sys.stderr)
             return CHECK_FAILED
-    _emit(system_to_dict(q), args.json, json.dumps(system_to_dict(q), indent=2))
+    _emit(system_to_dict(q), args.json, system_to_json(q))
     return OK
 
 
@@ -156,7 +158,7 @@ def cmd_infimum(args) -> int:
     except NotDescendingError as exc:
         print(f"not a descending chain: {exc}", file=sys.stderr)
         return CHECK_FAILED
-    _emit(system_to_dict(q), args.json, json.dumps(system_to_dict(q), indent=2))
+    _emit(system_to_dict(q), args.json, system_to_json(q))
     return OK
 
 
@@ -199,7 +201,7 @@ def cmd_generic(args) -> int:
         payload["inPoset"] = member
         lines.append(f"result in P({params.kappa}, {params.ell}, {params.gamma}): "
                      f"{'yes' if member else 'no'}")
-    human = "\n".join(lines) + "\n" + json.dumps(system_to_dict(q), indent=2)
+    human = "\n".join(lines) + "\n" + system_to_json(q)
     _emit(payload, args.json, human)
     return OK
 
@@ -401,6 +403,9 @@ def main(argv=None) -> int:
     except _INPUT_ERRORS as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return INPUT_ERROR
+    except Exception as exc:  # a bug, not bad input: one line, and never exit 1
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return INTERNAL_ERROR
 
 
 if __name__ == "__main__":

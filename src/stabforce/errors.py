@@ -17,10 +17,6 @@ class OutOfBoundsError(ValueError):
     """Ordinal argument lies outside a system's universe [0, top]."""
 
 
-class NotLim2Error(ValueError):
-    """liminf queried at a point that is not a lim2 point of its chain."""
-
-
 class InvalidConditionError(ValueError):
     """Operation requires valid stability systems."""
 

@@ -10,8 +10,6 @@ main implementation; agreement between the two is the point.
 
 from __future__ import annotations
 
-import weakref
-
 from .errors import BoundTooLargeError
 from .ordinal import ZERO, IntervalSet, Ordinal, OrdinalInterval, format_ordinal
 from .stability import StabilitySystem, ValidationReport, Violation
@@ -134,29 +132,6 @@ class BruteEvaluator:
         # the member limits form a finite set, so their sup is attained
         return max(members) == alpha
 
-    def liminf(self, k: int, alpha: Ordinal) -> Ordinal:
-        """sup over tails of the pointwise min of the level-(k+1) values.
-
-        Computed literally over the (finite) index chain below alpha; the
-        lim2 gate of the library operation is a contract matter, not part of
-        the sum formula, so it is not enforced here.
-        """
-        if k == 0:
-            index = [lam for lam in self.limits if lam < alpha]
-        else:
-            index = [lam for lam in self.limits
-                     if lam < alpha and self.lt(k, lam, alpha) and self.in_dom(k + 1, lam)]
-        best = ZERO
-        for tail_start in index:
-            vals = [self.value(k + 1, lam) for lam in index if lam >= tail_start]
-            m = vals[0]
-            for v in vals[1:]:
-                if v < m:
-                    m = v
-            if m > best:
-                best = m
-        return best
-
     def validate(self) -> ValidationReport:
         violations: list[Violation] = []
         if not self.p.bound.is_successor:
@@ -179,30 +154,3 @@ class BruteEvaluator:
                     violations.append(Violation("V5", k, subject,
                                                 "value not below key in its level order"))
         return ValidationReport(valid=not violations, violations=tuple(violations))
-
-
-_evaluators: "weakref.WeakKeyDictionary[StabilitySystem, BruteEvaluator]" = weakref.WeakKeyDictionary()
-
-
-def _evaluator(p: StabilitySystem) -> BruteEvaluator:
-    ev = _evaluators.get(p)
-    if ev is None:
-        ev = BruteEvaluator(p)
-        _evaluators[p] = ev
-    return ev
-
-
-def brute_lt_k(p: StabilitySystem, k: int, alpha: Ordinal, beta: Ordinal) -> bool:
-    return _evaluator(p).lt(k, alpha, beta)
-
-
-def brute_pred_set(p: StabilitySystem, k: int, beta: Ordinal) -> IntervalSet:
-    return _evaluator(p).pred_set(k, beta)
-
-
-def brute_is_k_limit(p: StabilitySystem, k: int, alpha: Ordinal) -> bool:
-    return _evaluator(p).is_k_limit(k, alpha)
-
-
-def brute_validate(p: StabilitySystem) -> ValidationReport:
-    return _evaluator(p).validate()

@@ -22,6 +22,7 @@ and diffable.
 from __future__ import annotations
 
 import re
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -82,9 +83,6 @@ class Ordinal:
             return "zero"
         return "successor" if self.is_successor else "limit"
 
-    def successor(self) -> "Ordinal":
-        return self + ONE
-
     def predecessor(self) -> "Ordinal":
         """Largest ordinal below a successor; undefined for 0 and limits."""
         if not self.is_successor:
@@ -114,9 +112,6 @@ class Ordinal:
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Ordinal) and self.terms == other.terms
-
-    def __ne__(self, other: object) -> bool:
-        return not self.__eq__(other)
 
     def __lt__(self, other: "Ordinal") -> bool:
         if not isinstance(other, Ordinal):
@@ -156,31 +151,6 @@ ONE = Ordinal.from_int(1)
 OMEGA = Ordinal(((1, 1),))
 
 
-def compare(a: Ordinal, b: Ordinal) -> int:
-    """Total order on ordinals: -1 for less, 0 for equal, 1 for greater."""
-    if a.terms < b.terms:
-        return -1
-    return 0 if a.terms == b.terms else 1
-
-
-def add(a: Ordinal, b: Ordinal) -> Ordinal:
-    """Ordinal addition: left terms below the lead exponent of b are absorbed."""
-    return a + b
-
-
-def classify(a: Ordinal) -> str:
-    return a.classify()
-
-
-def is_lim2(a: Ordinal) -> bool:
-    return a.is_lim2
-
-
-def plus_omega(a: Ordinal) -> Ordinal:
-    """The next ordinal of the form ...+w above a; always has last exponent 1."""
-    return a + OMEGA
-
-
 def largest_limit_below(h: Ordinal) -> Ordinal | None:
     """Largest limit ordinal strictly below h, or None.
 
@@ -218,18 +188,28 @@ _NAT_RE = re.compile(r"(?:0|[1-9][0-9]*)")
 _TERM_RE = re.compile(r"^w(?:\^(0|[1-9][0-9]*))?(?:\*(0|[1-9][0-9]*))?$")
 
 
+def _nat(digits: str) -> int:
+    """The value of a decimal integer string, refusing one too long to convert."""
+    try:
+        return int(digits)
+    except ValueError:  # only the interpreter's integer-string length limit
+        raise OrdinalSyntaxError(
+            f"a number of {len(digits.lstrip('-'))} digits is too long "
+            f"(at most {sys.get_int_max_str_digits()} digits)") from None
+
+
 def _parse_term(tok: str) -> tuple[int, int]:
     if not tok:
         raise OrdinalSyntaxError("empty term")
     if tok[0] != "w":
         if not _NAT_RE.fullmatch(tok):
             raise OrdinalSyntaxError(f"bad token {tok!r}")
-        return (0, int(tok))
+        return (0, _nat(tok))
     m = _TERM_RE.fullmatch(tok)
     if not m:
         raise OrdinalSyntaxError(f"bad token {tok!r}")
-    exp = 1 if m.group(1) is None else int(m.group(1))
-    coef = 1 if m.group(2) is None else int(m.group(2))
+    exp = 1 if m.group(1) is None else _nat(m.group(1))
+    coef = 1 if m.group(2) is None else _nat(m.group(2))
     if m.group(1) is not None and exp < 2:
         raise NonCanonicalError(f"{tok!r}: write plain 'w' / naturals, not w^{exp}")
     if m.group(2) is not None and coef < 2:
@@ -319,10 +299,6 @@ class IntervalSet:
     @classmethod
     def of(cls, *pairs: tuple[Ordinal, Ordinal]) -> "IntervalSet":
         return cls(OrdinalInterval(lo, hi) for lo, hi in pairs if lo < hi)
-
-    @classmethod
-    def empty(cls) -> "IntervalSet":
-        return cls()
 
     @property
     def is_empty(self) -> bool:

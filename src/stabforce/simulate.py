@@ -63,12 +63,6 @@ class StabilityPattern:
         # reversed, so the first entry for a pair wins
         return {(a, b): d for a, b, d in reversed(self.st)}
 
-    def point_at(self, pos: Ordinal) -> PatternPoint:
-        for pt in self.points:
-            if pt.pos == pos:
-                return pt
-        raise KeyError(str(pos))
-
 
 def make_pattern(points: Iterable[tuple[str, bool, Iterable[int]]],
                  st: Iterable[tuple[str, str, int]] = ()) -> StabilityPattern:
@@ -91,7 +85,7 @@ def validate_pattern(pattern: StabilityPattern) -> CheckReport:
     """
     violations: list[Violation] = []
     pts = pattern.points
-    positions = {pt.pos for pt in pts}
+    positions = {pt.pos: pt for pt in reversed(pts)}  # the first point at a position wins
     for pt in pts:
         if not (pt.pos.is_limit and not pt.pos.is_lim2):
             violations.append(Violation("A1", 0, format_ordinal(pt.pos),
@@ -137,11 +131,8 @@ def validate_pattern(pattern: StabilityPattern) -> CheckReport:
             violations.append(Violation("A3", 0, format_ordinal(pt.pos),
                                         "cofinal levels must be downward closed"))
     for i, j, d in pattern.st:
-        try:
-            pt = pattern.point_at(i)
-        except KeyError:
-            continue
-        if pt.in_c and _least_unflagged(pt) < d:
+        pt = positions.get(i)
+        if pt is not None and pt.in_c and _least_unflagged(pt) < d:
             violations.append(Violation(
                 "A4", d, f"({i}, {j})",
                 f"degree {d} of a club point needs cofinality flags up to {d - 1}"))
@@ -363,12 +354,6 @@ class MinimalityReport:
     last_key: Ordinal | None
     fates: tuple[PointFate, ...]
     survivors: tuple[Ordinal, ...]
-
-    def fate_of(self, alpha: Ordinal) -> PointFate:
-        for f in self.fates:
-            if f.alpha == alpha:
-                return f
-        raise KeyError(str(alpha))
 
 
 def minimality_report(result: SimulationResult, grid: Iterable[Ordinal]) -> MinimalityReport:

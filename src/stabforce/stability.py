@@ -27,17 +27,18 @@ from __future__ import annotations
 import json
 import re
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from operator import itemgetter
 from typing import Iterable, Mapping
 
-from .errors import NotLim2Error, OutOfBoundsError
+from .errors import OutOfBoundsError
 from .ordinal import (
     ONE,
     ZERO,
     IntervalSet,
     Ordinal,
     OrdinalInterval,
+    _nat,
     format_ordinal,
     parse_ordinal,
     sup_of_limits_between,
@@ -251,10 +252,7 @@ class ValidationReport:
     violations: tuple[Violation, ...]
 
     def to_dict(self) -> dict:
-        return {"valid": self.valid,
-                "violations": [{"check": v.check, "level": v.level,
-                                "subject": v.subject, "message": v.message}
-                               for v in self.violations]}
+        return {"valid": self.valid, "violations": [asdict(v) for v in self.violations]}
 
 
 @dataclass(frozen=True)
@@ -268,9 +266,7 @@ class CheckReport:
 
     def to_dict(self) -> dict:
         return {"name": self.name, "passed": self.passed,
-                "violations": [{"check": v.check, "level": v.level,
-                                "subject": v.subject, "message": v.message}
-                               for v in self.violations]}
+                "violations": [asdict(v) for v in self.violations]}
 
 
 # -- derived orders ----------------------------------------------------------
@@ -454,26 +450,6 @@ def is_k_lim2(p: StabilitySystem, k: int, alpha: Ordinal) -> bool:
         if s is not None and (best is None or s > best):
             best = s
     return best == alpha
-
-
-def chain_liminf(p: StabilitySystem, k: int, alpha: Ordinal) -> Ordinal:
-    """liminf of the level-(k+1) values along the level-k chain below alpha.
-
-    The index set is the limit ordinals below alpha (k = 0) or the level-k
-    limits strictly below alpha in the level-k order (k >= 1).  With finitely
-    many exceptions the tail of the chain is the identity, so the liminf is
-    the supremum of the index set, which equals alpha at a lim2 point; no
-    sequence is materialized.
-    """
-    if k < 0:
-        raise ValueError("level must be >= 0")
-    _require_in_universe(p, alpha)
-    if k == 0:
-        if not alpha.is_lim2:
-            raise NotLim2Error(f"{alpha} is not a limit of limit ordinals")
-    elif not is_k_lim2(p, k, alpha):
-        raise NotLim2Error(f"{alpha} is not a level-{k} lim2 point")
-    return alpha
 
 
 # -- validation ---------------------------------------------------------------
@@ -665,7 +641,7 @@ def system_from_dict(d: Mapping) -> StabilitySystem:
             raise ValueError(f"level key {k_text!r} must be a decimal integer >= 1")
         if not isinstance(entries, Mapping):
             raise ValueError(f"level {k_text} must map keys to values in a JSON object")
-        exceptions[int(k_text)] = {parse_ordinal(g): parse_ordinal(v) for g, v in entries.items()}
+        exceptions[_nat(k_text)] = {parse_ordinal(g): parse_ordinal(v) for g, v in entries.items()}
     return StabilitySystem(bound, exceptions)
 
 

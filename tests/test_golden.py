@@ -1,6 +1,7 @@
-"""Byte goldens: CLI stdout for fixed inputs, compared byte for byte.
+"""Byte goldens: CLI and demo stdout for fixed inputs, compared byte for byte.
 
-The files under ``tests/golden/`` hold the stdout of each case below.  To
+The files under ``tests/golden/`` hold the stdout of each CLI case below, and
+``tests/golden/demos/`` the stdout of each script in ``demos/``.  To
 regenerate them after a deliberate output change, run this module as a
 script from the repository root::
 
@@ -9,6 +10,7 @@ script from the repository root::
 
 import io
 import json
+import subprocess
 import sys
 from contextlib import redirect_stdout
 from pathlib import Path
@@ -21,6 +23,7 @@ from stabforce.ordinal import parse_ordinal as O
 from stabforce.simulate import make_pattern, pattern_to_dict
 
 GOLDEN = Path(__file__).parent / "golden"
+DEMOS = sorted((Path(__file__).parent.parent / "demos").glob("*.py"))
 GRID = "0,1,5,w,w*6,w*6+3,w*7,w*8,w*19,w*20+1,w*21"
 
 PATTERNS = {
@@ -54,6 +57,11 @@ def run_case(directory: Path, argv: list[str]) -> bytes:
     return buf.getvalue().encode("utf-8")
 
 
+def run_demo(demo: Path) -> bytes:
+    return subprocess.run([sys.executable, str(demo)], capture_output=True,
+                          check=True).stdout
+
+
 @pytest.fixture
 def inputs(tmp_path):
     write_inputs(tmp_path)
@@ -79,6 +87,11 @@ def test_goldens_survive_a_parse_error_in_between(inputs, capsys):
     assert first == {name: (GOLDEN / f"{name}.out").read_bytes() for name in CASES}
 
 
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda d: d.stem)
+def test_demo_stdout_matches_golden(demo):
+    assert run_demo(demo) == (GOLDEN / "demos" / f"{demo.stem}.out").read_bytes()
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -88,3 +101,7 @@ if __name__ == "__main__":
         for name, argv in CASES.items():
             (GOLDEN / f"{name}.out").write_bytes(run_case(Path(tmp), argv))
             print(f"wrote {name}.out", file=sys.stderr)
+    (GOLDEN / "demos").mkdir(exist_ok=True)
+    for demo in DEMOS:
+        (GOLDEN / "demos" / f"{demo.stem}.out").write_bytes(run_demo(demo))
+        print(f"wrote demos/{demo.stem}.out", file=sys.stderr)

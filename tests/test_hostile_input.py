@@ -1,0 +1,186 @@
+"""Hostile input through the CLI: every file-reading subcommand either answers
+(exit 0 or 1) or refuses the file with one line on stderr (exit 2).  An
+unexpected exception is exit 3, "internal error", and is a bug."""
+
+import io
+import json
+from contextlib import redirect_stderr, redirect_stdout
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from stabforce import cli
+from stabforce.cli import main
+
+# argv before the input file, per subcommand; the file is the last argument
+FILE_COMMANDS = {
+    "validate": ["validate"],
+    "rel": ["rel", "--k", "2", "5", "w*2"],
+    "preds": ["preds", "--k", "2", "w*3"],
+    "extend": ["extend", "--to", "w*5"],
+    "extend-chain-limit": ["extend", "--chain-limit", "1", "--target", "5"],
+    "infimum": ["infimum"],
+    "generic": ["generic", "--dense", "taller_than:w*5", "--budget", "4"],
+    "simulate": ["simulate", "--grid", "0,w,w*7"],
+    "export-dot": ["export-dot", "--k", "1", "--mark", "w"],
+}
+
+SYSTEM = {"bound": "w*3+1", "levels": {"1": {"w*2": "5"}}}
+SYSTEM2 = {"bound": "w*4+1", "levels": {"1": {"w*2": "5"}, "2": {"w*4": "5"}}}
+PATTERN = {"points": [{"pos": "w*6", "inC": True, "cofinalLevels": [1]},
+                      {"pos": "w*20", "inC": True, "cofinalLevels": []}],
+           "st": [["w*6", "w*20", 2]]}
+CHAIN = {"chain": [SYSTEM, SYSTEM2], "target": "w*5", "ell": 2}
+SEEDS = {"infimum": [CHAIN, SYSTEM], "simulate": [PATTERN, SYSTEM]}
+
+HUGE = "9" * 5000
+
+
+def run(tmp, argv_head, text):
+    path = tmp / "input.json"
+    path.write_text(text, encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main([*argv_head, str(path)])
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_input_error(code, out, err):
+    assert (code, out) == (2, "")
+    assert err.startswith("input error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text", ["[" * 100_000, '{"1":' * 3000],
+                         ids=["lists", "objects"])
+@pytest.mark.parametrize("command", sorted(FILE_COMMANDS))
+def test_deep_nesting_is_an_input_error(tmp_path, command, text):
+    code, out, err = run(tmp_path, FILE_COMMANDS[command], text)
+    assert_input_error(code, out, err)
+    assert "nesting is too deep" in err
+
+
+@pytest.mark.parametrize("doc", [
+    {"bound": HUGE},
+    {"bound": f"w^{HUGE}+1"},
+    {"bound": f"w*{HUGE}+1"},
+    {"bound": "w*3+1", "levels": {"1": {"w*2": f"w+{HUGE}"}}},
+    {"bound": "w*3+1", "levels": {HUGE: {"w*2": "5"}}},
+    {"bound": "HUGE"},
+], ids=["bound", "exponent", "coefficient", "value", "level-key", "json-number"])
+def test_huge_integer_is_named_by_its_digit_count(tmp_path, doc):
+    code, out, err = run(tmp_path, ["validate"], json.dumps(doc).replace('"HUGE"', HUGE))
+    assert_input_error(code, out, err)
+    assert "5000 digits" in err and "sys" not in err
+
+
+def test_unexpected_exception_is_exit_3(tmp_path, monkeypatch):
+    def broken(p):
+        raise ZeroDivisionError("division by zero\nsecond line")
+
+    monkeypatch.setattr(cli, "validate", broken)
+    code, out, err = run(tmp_path, ["validate"], json.dumps(SYSTEM))
+    assert (code, out) == (3, "")
+    assert err.startswith("internal error: ZeroDivisionError: ")
+    assert "Traceback" not in err
+
+
+# -- fuzz ------------------------------------------------------------------------
+
+_ORDINAL_TEXT = st.sampled_from([
+    "0", "1", "5", "w", "w+1", "w*2", "w*2+5", "w*3", "w*3+1", "w*5", "w*6", "w*7",
+    "w*20", "w^2", "w^2+1", "w^3*2+w", "w+w", "w^1", "", "-1", "01", HUGE,
+    f"w^{HUGE}", f"w*{HUGE}+1",
+])
+_SCALARS = (st.none() | st.booleans() | st.integers(-3, 10**6)
+            | st.floats(allow_nan=False, allow_infinity=False) | st.just("HUGE")
+            | _ORDINAL_TEXT | st.text(max_size=6))
+_KEYS = _ORDINAL_TEXT | st.sampled_from(["1", "2", "bound", "levels", "points", "st",
+                                         "pos", "inC", "cofinalLevels", "chain",
+                                         "target", "ell", HUGE])
+_JSON = st.recursive(_SCALARS, lambda inner: st.lists(inner, max_size=4)
+                     | st.dictionaries(_KEYS, inner, max_size=4), max_leaves=12)
+# replacements lean to well-typed values, so that mutants reach the engine
+_REPLACEMENT = st.one_of(_ORDINAL_TEXT, st.integers(0, 4), _JSON)
+
+
+@st.composite
+def _mutated(draw, doc):
+    """doc with one node replaced, one key dropped or one entry added."""
+    if not (isinstance(doc, (dict, list)) and doc) or draw(st.integers(0, 4)) == 4:
+        return draw(_REPLACEMENT)
+    if isinstance(doc, list):
+        i = draw(st.integers(0, len(doc) - 1))
+        return doc[:i] + [draw(_mutated(doc[i]))] + doc[i + 1:]
+    key = draw(st.sampled_from(sorted(doc)))
+    out = dict(doc)
+    op = draw(st.sampled_from(["recurse", "recurse", "drop", "add"]))
+    if op == "drop":
+        del out[key]
+    elif op == "add":
+        out[draw(_KEYS)] = draw(_REPLACEMENT)
+    else:
+        out[key] = draw(_mutated(doc[key]))
+    return out
+
+
+_FIELDS = {"bound", "levels", "points", "st", "pos", "inC", "cofinalLevels", "chain",
+           "target", "ell"}
+
+
+@st.composite
+def _retokened(draw, doc):
+    """doc, same shape and field names, with some ordinals, level keys and
+    integers swapped for others."""
+    if isinstance(doc, dict):
+        return {k if k in _FIELDS else draw(_retokened(k)): draw(_retokened(v))
+                for k, v in doc.items()}
+    if isinstance(doc, list):
+        return [draw(_retokened(v)) for v in doc]
+    if isinstance(doc, bool) or draw(st.integers(0, 3)) < 3:
+        return doc
+    return draw(_ORDINAL_TEXT if isinstance(doc, str) else st.integers(0, 4))
+
+
+@st.composite
+def _file_text(draw, seeds):
+    kind = draw(st.sampled_from(["retokened", "mutated", "random", "truncated", "deep"]))
+    if kind == "deep":
+        opener = draw(st.sampled_from(["[", '{"1":', '{"levels":']))
+        depth = draw(st.sampled_from([40, 3000, 100_000]))
+        closer = {"[": "]"}.get(opener, "}")
+        return opener * depth + draw(st.sampled_from(["", "1" + closer * depth]))
+    if kind == "random":
+        doc = draw(_JSON)
+    elif kind == "retokened":
+        doc = draw(_retokened(draw(st.sampled_from(seeds))))
+    else:
+        doc = draw(st.sampled_from(seeds))
+        for _ in range(draw(st.integers(1, 3))):
+            doc = draw(_mutated(doc))
+    # "HUGE" stands for a 5000-digit JSON number, which json.dumps cannot write
+    text = json.dumps(doc).replace('"HUGE"', HUGE)
+    if kind == "truncated":
+        text = text[:draw(st.integers(0, len(text)))]
+    return text
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@pytest.mark.parametrize("command", sorted(FILE_COMMANDS))
+def test_fuzzed_files_never_crash(fuzz_dir, command):
+    seeds = SEEDS.get(command, [SYSTEM, SYSTEM2])
+
+    @settings(max_examples=25, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+    @given(_file_text(seeds))
+    def check(text):
+        code, out, err = run(fuzz_dir, FILE_COMMANDS[command], text)
+        assert code in (0, 1, 2), err
+        assert "Traceback" not in err
+        if code == 2:
+            assert out == "" and err.count("\n") == 1, err
+
+    check()

@@ -5,10 +5,6 @@ import pytest
 from stabforce import (
     IntervalSet,
     StabilitySystem,
-    brute_is_k_limit,
-    brute_lt_k,
-    brute_pred_set,
-    brute_validate,
     is_k_limit,
     lt_k,
     pred_set,
@@ -22,11 +18,12 @@ from stabforce.ordinal import parse_ordinal as O
 
 
 def test_brute_examples(pstar):
-    assert brute_lt_k(pstar, 1, O("3"), O("w*3")) is True
-    assert brute_lt_k(pstar, 1, O("3"), O("w*3")) == lt_k(pstar, 1, O("3"), O("w*3"))
-    assert brute_pred_set(pstar, 1, O("w*2")) == IntervalSet.of((O("0"), O("6")))
-    assert brute_is_k_limit(pstar, 1, O("w*3")) and not brute_is_k_limit(pstar, 1, O("w*2"))
-    assert brute_validate(pstar).valid
+    ev = BruteEvaluator(pstar)
+    assert ev.lt(1, O("3"), O("w*3")) is True
+    assert ev.lt(1, O("3"), O("w*3")) == lt_k(pstar, 1, O("3"), O("w*3"))
+    assert ev.pred_set(1, O("w*2")) == IntervalSet.of((O("0"), O("6")))
+    assert ev.is_k_limit(1, O("w*3")) and not ev.is_k_limit(1, O("w*2"))
+    assert ev.validate().valid
 
 
 def test_brute_rejects_large_bounds():
@@ -34,12 +31,6 @@ def test_brute_rejects_large_bounds():
         BruteEvaluator(StabilitySystem(O("w^2+1")))
     with pytest.raises(BoundTooLargeError):
         BruteEvaluator(StabilitySystem(O("w*20+1")))
-
-
-def test_brute_liminf_is_literal():
-    ev = BruteEvaluator(StabilitySystem(O("w*9+1"), {1: {O("w*3"): O("2")}}))
-    # finite index chain: the tail minimum stabilizes at the last value
-    assert ev.liminf(0, O("w*5")) == O("w*4")
 
 
 def test_differential_small_batch():
@@ -100,7 +91,7 @@ def test_differential_validate_on_mutants():
     for _ in range(60):
         p = random_system(rng, small=True)
         m = mutate_system(rng, p)
-        ours, theirs = validate(m), brute_validate(m)
+        ours, theirs = validate(m), BruteEvaluator(m).validate()
         assert ours.valid == theirs.valid
         if not ours.valid:
             agree_invalid += 1

@@ -11,7 +11,6 @@ from stabforce.ordinal import (
     IntervalSet,
     Ordinal,
     OrdinalInterval,
-    compare,
     format_ordinal,
     largest_limit_below,
     parse_ordinal as O,
@@ -52,11 +51,11 @@ def test_format_examples():
 
 
 def test_compare_examples():
-    assert compare(O("5"), O("w")) == -1
-    assert compare(O("w*2+3"), O("w^2")) == -1
+    assert O("5") < O("w")
+    assert O("w*2+3") < O("w^2")
     a = O("w^2*3+w+4")
-    assert compare(a, a) == 0
-    assert compare(O("w"), O("5")) == 1
+    assert a == O("w^2*3+w+4") and not a < a and not a > a
+    assert O("w") > O("5")
 
 
 def test_add_examples():
@@ -120,11 +119,11 @@ def test_interval_set_ops():
     assert a.intersect(b) == IntervalSet.of((O("5"), O("w")), (O("w*2"), O("w*2+5")))
     assert a.union(b) == IntervalSet.of((O("0"), O("w*3")))
     assert a.filter_below(O("w*2+1")) == IntervalSet.of((O("0"), O("w")), (O("w*2"), O("w*2+1")))
-    assert IntervalSet.empty().is_empty
+    assert IntervalSet().is_empty
     with pytest.raises(EmptySetError):
-        IntervalSet.empty().sup()
+        IntervalSet().sup()
     with pytest.raises(EmptySetError):
-        IntervalSet.empty().has_max()
+        IntervalSet().has_max()
 
 
 # -- properties ----------------------------------------------------------------
@@ -147,8 +146,11 @@ def test_add_associative(a, b, c):
 
 @given(_ordinals, _ordinals)
 def test_compare_total(a, b):
-    assert (compare(a, b), compare(b, a)) in [(-1, 1), (1, -1), (0, 0)]
-    assert (compare(a, b) == 0) == (a == b)
+    # trichotomy: exactly one of <, ==, > holds, and swapping the sides mirrors it
+    assert [a < b, a == b, a > b].count(True) == 1
+    assert (a < b, a == b, a > b) == (b > a, b == a, b < a)
+    assert (a <= b) == (a < b or a == b) and (a >= b) == (a > b or a == b)
+    assert (a != b) == (not a == b)
 
 
 @given(_ordinals)

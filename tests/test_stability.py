@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 from stabforce import (
     IntervalSet,
     StabilitySystem,
-    chain_liminf,
     check_predecessor_laws,
     check_tree_properties,
     dom_f,
@@ -23,7 +22,7 @@ from stabforce import (
     system_to_json,
     validate,
 )
-from stabforce.errors import NotLim2Error, OutOfBoundsError
+from stabforce.errors import OutOfBoundsError
 from stabforce.gen import random_system
 from stabforce.oracle import BruteEvaluator
 from stabforce.ordinal import Ordinal, format_ordinal
@@ -110,13 +109,13 @@ def test_lim2_points_refuse_below_identity_values():
         assert "V4" in [v.check for v in validate(p).violations]
 
 
-def test_chain_liminf_examples(pstar):
+def test_lim2_gate_examples(pstar):
+    # a lim2 point of the level-k chain: plain lim2 at k = 0, is_k_lim2 above
     p = StabilitySystem(O("w^2+1"))
-    assert chain_liminf(p, 0, O("w^2")) == O("w^2")
+    assert O("w^2").is_lim2 and is_k_lim2(p, 1, O("w^2"))
     q = StabilitySystem(O("w^2+1"), {1: {O("w*3"): O("2")}})
-    assert chain_liminf(q, 0, O("w^2")) == O("w^2")
-    with pytest.raises(NotLim2Error):
-        chain_liminf(pstar, 0, O("w"))
+    assert is_k_lim2(q, 1, O("w^2"))
+    assert not O("w").is_lim2 and not is_k_lim2(pstar, 1, O("w"))
 
 
 def test_validate_pstar(pstar):
