@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import random
+import re
 import sys
 from functools import cache
 
@@ -32,7 +33,7 @@ from .errors import (
 )
 from .gen import mutate_system, random_chain, random_system, random_tower
 from .oracle import BruteEvaluator
-from .ordinal import _nat, format_ordinal, parse_ordinal
+from .ordinal import _brief, _nat, format_ordinal, parse_ordinal
 from .poset import (
     ChainPresentation,
     PosetParams,
@@ -74,7 +75,20 @@ OK, CHECK_FAILED, INPUT_ERROR, INTERNAL_ERROR, BROKEN_PIPE = 0, 1, 2, 3, 141
 
 _INPUT_ERRORS = (OrdinalSyntaxError, NonCanonicalError, OutOfBoundsError,
                  OutOfRangeError, BadTargetError,
-                 json.JSONDecodeError, ValueError, KeyError, OSError)
+                 json.JSONDecodeError, ValueError, KeyError, OSError,
+                 argparse.ArgumentTypeError)
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
+def _integer(text: str) -> int:
+    """A decimal integer argument.  The error names the text's length or digit
+    count and never echoes it, however long it is."""
+    if not _INTEGER.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"not a decimal integer ({len(text)} characters)")
+    try:
+        return _nat(text)
+    except OrdinalSyntaxError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _no_dupes(pairs):
@@ -167,8 +181,8 @@ def _parse_dense(spec: str):
     if parts[0] == "taller_than" and len(parts) == 2:
         return taller_than(parse_ordinal(parts[1]))
     if parts[0] == "top_chain_limit" and len(parts) == 3:
-        return top_chain_limit(int(parts[1]), parse_ordinal(parts[2]))
-    raise ValueError(f"unknown dense-set spec {spec!r} "
+        return top_chain_limit(_integer(parts[1]), parse_ordinal(parts[2]))
+    raise ValueError(f"unknown dense-set spec {_brief(spec)!r} "
                      "(use taller_than:<ord> or top_chain_limit:<ell>:<ord>)")
 
 
@@ -315,10 +329,20 @@ def cmd_selftest(args) -> int:
     return OK if not failures else CHECK_FAILED
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """argparse drops the "--" of "--opt=--" and hands the option an empty
+    list; this parser reports it as the missing value it is."""
+
+    def _get_values(self, action, arg_strings):
+        if arg_strings == ["--"] and action.option_strings:
+            self.error(f"argument {action.option_strings[-1]}: expected one argument")
+        return super()._get_values(action, arg_strings)
+
+
 @cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser; built once per process and reused by ``main``."""
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="stabforce",
         description="Exact queries over stability systems and their forcing poset.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -333,19 +357,19 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("system")
 
     sp = add("rel", cmd_rel, "decide a <_k b")
-    sp.add_argument("--k", type=int, required=True)
+    sp.add_argument("--k", type=_integer, required=True)
     sp.add_argument("a")
     sp.add_argument("b")
     sp.add_argument("system")
 
     sp = add("preds", cmd_preds, "predecessor interval set of b at level k")
-    sp.add_argument("--k", type=int, required=True)
+    sp.add_argument("--k", type=_integer, required=True)
     sp.add_argument("b")
     sp.add_argument("system")
 
     sp = add("extend", cmd_extend, "canonical or chain-limit extension")
     sp.add_argument("--to", help="canonical extension target top")
-    sp.add_argument("--chain-limit", type=int, help="level for a chain-limit extension")
+    sp.add_argument("--chain-limit", type=_integer, help="level for a chain-limit extension")
     sp.add_argument("--target", help="value recorded at the new top")
     sp.add_argument("system")
 
@@ -356,9 +380,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("system")
     sp.add_argument("--dense", action="append",
                     help="taller_than:<ord> or top_chain_limit:<ell>:<ord>")
-    sp.add_argument("--budget", type=int, default=32)
+    sp.add_argument("--budget", type=_integer, default=32)
     sp.add_argument("--kappa", help="poset bound for a membership check")
-    sp.add_argument("--ell", type=int, help="poset level (default 1)")
+    sp.add_argument("--ell", type=_integer, help="poset level (default 1)")
     sp.add_argument("--gamma", help="poset threshold (default 0)")
 
     sp = add("simulate", cmd_simulate, "replay the construction over a pattern file")
@@ -366,13 +390,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--grid", help="comma-separated ordinals for the survivor analysis")
 
     sp = add("export-dot", cmd_export_dot, "Graphviz view of a level order")
-    sp.add_argument("--k", type=int, required=True)
+    sp.add_argument("--k", type=_integer, required=True)
     sp.add_argument("--mark", help="comma-separated ordinals to highlight")
     sp.add_argument("system")
 
     sp = add("selftest", cmd_selftest, "differential and property suites")
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--systems", type=int, default=60)
+    sp.add_argument("--seed", type=_integer, default=0)
+    sp.add_argument("--systems", type=_integer, default=60)
     return parser
 
 

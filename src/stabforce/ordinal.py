@@ -198,22 +198,28 @@ def _nat(digits: str) -> int:
             f"(at most {sys.get_int_max_str_digits()} digits)") from None
 
 
+def _brief(text: str) -> str:
+    """``text`` for an error message: as it is when short, else its start and
+    its length, so a hostile input is never echoed in full."""
+    return text if len(text) <= 40 else f"{text[:24]}... ({len(text)} characters)"
+
+
 def _parse_term(tok: str) -> tuple[int, int]:
     if not tok:
         raise OrdinalSyntaxError("empty term")
     if tok[0] != "w":
         if not _NAT_RE.fullmatch(tok):
-            raise OrdinalSyntaxError(f"bad token {tok!r}")
+            raise OrdinalSyntaxError(f"bad token {_brief(tok)!r}")
         return (0, _nat(tok))
     m = _TERM_RE.fullmatch(tok)
     if not m:
-        raise OrdinalSyntaxError(f"bad token {tok!r}")
+        raise OrdinalSyntaxError(f"bad token {_brief(tok)!r}")
     exp = 1 if m.group(1) is None else _nat(m.group(1))
     coef = 1 if m.group(2) is None else _nat(m.group(2))
     if m.group(1) is not None and exp < 2:
-        raise NonCanonicalError(f"{tok!r}: write plain 'w' / naturals, not w^{exp}")
+        raise NonCanonicalError(f"{_brief(tok)!r}: write plain 'w' / naturals, not w^{exp}")
     if m.group(2) is not None and coef < 2:
-        raise NonCanonicalError(f"{tok!r}: coefficient must be omitted when 1, never 0")
+        raise NonCanonicalError(f"{_brief(tok)!r}: coefficient must be omitted when 1, never 0")
     return (exp, coef)
 
 
@@ -228,12 +234,12 @@ def parse_ordinal(text: str) -> Ordinal:
     parts = text.split("+")
     terms = [_parse_term(tok) for tok in parts]
     if len(terms) > 1 and any(c == 0 for _, c in terms):
-        raise NonCanonicalError(f"{text!r}: zero term inside a sum")
+        raise NonCanonicalError(f"{_brief(text)!r}: zero term inside a sum")
     if len(terms) == 1 and terms[0][1] == 0:
         return ZERO
     for (e1, _), (e2, _) in zip(terms, terms[1:]):
         if e2 >= e1:
-            raise NonCanonicalError(f"{text!r}: exponents must strictly decrease")
+            raise NonCanonicalError(f"{_brief(text)!r}: exponents must strictly decrease")
     return Ordinal(terms)
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .errors import InvalidConditionError, InvalidIntermediateError
@@ -49,7 +50,9 @@ class StabilityPattern:
     """Declared mock of the stability data: points plus pairwise degrees.
 
     ``st`` maps an ordered position pair (i, j), i < j, to the maximal
-    declared stability degree of i in j (absent means 0: unrelated).
+    declared stability degree of i in j (absent means 0: unrelated).  The
+    axiom report and the assignments are derived once per pattern and kept
+    on it, as the degree table is; they take no part in equality.
     """
 
     points: tuple[PatternPoint, ...]
@@ -63,6 +66,14 @@ class StabilityPattern:
         # reversed, so the first entry for a pair wins
         return {(a, b): d for a, b, d in reversed(self.st)}
 
+    @cached_property
+    def _axioms(self) -> CheckReport:
+        return _check_axioms(self)
+
+    @cached_property
+    def _assignments(self) -> Mapping[Ordinal, "Assignment"]:
+        return MappingProxyType(_derive_assignments(self))
+
 
 def make_pattern(points: Iterable[tuple[str, bool, Iterable[int]]],
                  st: Iterable[tuple[str, str, int]] = ()) -> StabilityPattern:
@@ -75,7 +86,7 @@ def make_pattern(points: Iterable[tuple[str, bool, Iterable[int]]],
 
 
 def validate_pattern(pattern: StabilityPattern) -> CheckReport:
-    """Check the pattern axioms A1-A4.
+    """Check the pattern axioms A1-A4; computed once per pattern.
 
     A1 positions ascend, sit in Lim minus Lim2 (last CNF exponent 1) and keep
     gaps of at least w*2; A2 each pair declared once, with a degree >= 1, and
@@ -83,6 +94,10 @@ def validate_pattern(pattern: StabilityPattern) -> CheckReport:
     closed; A4 a declared degree of a club point is bounded by the level its
     cofinality flags force.
     """
+    return pattern._axioms
+
+
+def _check_axioms(pattern: StabilityPattern) -> CheckReport:
     violations: list[Violation] = []
     pts = pattern.points
     positions = {pt.pos: pt for pt in reversed(pts)}  # the first point at a position wins
@@ -154,10 +169,15 @@ class Assignment:
     sup_stable: Mapping[int, Ordinal]  # level -> position of largest stable club pt, or 0
 
 
-def derive_assignments(pattern: StabilityPattern) -> dict[Ordinal, Assignment]:
+def derive_assignments(pattern: StabilityPattern) -> Mapping[Ordinal, Assignment]:
     """Per point: the least unflagged level, and for each level up to one past
     it the largest earlier club position of at least that declared degree
-    (the ordinal 0 standing in for "none")."""
+    (the ordinal 0 standing in for "none").  Computed once per pattern; the
+    mapping is read-only."""
+    return pattern._assignments
+
+
+def _derive_assignments(pattern: StabilityPattern) -> dict[Ordinal, Assignment]:
     out: dict[Ordinal, Assignment] = {}
     for pt in pattern.points:
         ell = _least_unflagged(pt)
@@ -419,12 +439,15 @@ def pattern_from_dict(d: Mapping) -> StabilityPattern:
     if unknown:
         raise ValueError(f"unknown pattern fields: {sorted(unknown)}")
     points = []
-    for entry in _json_list(d.get("points", []), "pattern 'points'"):
+    for index, entry in enumerate(_json_list(d.get("points", []), "pattern 'points'")):
         if not isinstance(entry, Mapping):
             raise ValueError("each pattern point must be a JSON object")
         extra = set(entry) - {"pos", "inC", "cofinalLevels"}
         if extra:
             raise ValueError(f"unknown point fields: {sorted(extra)}")
+        for field in ("pos", "inC"):
+            if field not in entry:
+                raise ValueError(f"pattern point {index} is missing '{field}'")
         in_c = entry["inC"]
         if not isinstance(in_c, bool):
             raise ValueError(f"point 'inC' must be true or false, got {in_c!r}")

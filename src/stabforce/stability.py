@@ -17,9 +17,13 @@ quantifier is decided by inspecting only the finitely many exception keys in
 range; that is what makes the whole structure exactly computable.
 
 One kernel does that inspection: ``pred_set(p, k, b)``, the interval set of
-the a with a <_k b, and every order query is membership in it.  Its levels
-are computed bottom-up in a loop, the level-(k-1) set deciding which
-level-k keys lie on the chain of b, and cached per (level, point).
+the a with a <_k b, and every order query is membership in it.  Every level
+order is a tree order, for valid and invalid systems alike, so the level-k
+keys that constrain b are those that constrain its nearest constraining key
+g*, plus b itself.  Each level's set is therefore g*'s set, joined with the
+slice of the level-(k-1) set from g* to b and cut by b's own value.  Levels
+are computed bottom-up in a loop and cached per (level, point); ``_pred``
+holds the proof.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ from .ordinal import (
     IntervalSet,
     Ordinal,
     OrdinalInterval,
+    _brief,
     _nat,
     format_ordinal,
     parse_ordinal,
@@ -275,7 +280,8 @@ class CheckReport:
 def _require_in_universe(p: StabilitySystem, *points: Ordinal) -> None:
     for a in points:
         if not a < p.bound:
-            raise OutOfBoundsError(f"{a} is not below the bound {p.bound}")
+            raise OutOfBoundsError(f"{_brief(format_ordinal(a))} is not below the bound "
+                                   f"{_brief(format_ordinal(p.bound))}")
 
 
 def dom_f(p: StabilitySystem, k: int, alpha: Ordinal) -> bool:
@@ -363,57 +369,158 @@ def pred_set(p: StabilitySystem, k: int, beta: Ordinal) -> IntervalSet:
 
 
 def _pred(p: StabilitySystem, k: int, beta: Ordinal) -> IntervalSet:
-    """pred_set without the argument checks; level 0 gives [0, beta)."""
+    """pred_set without the argument checks; level 0 gives [0, beta).
+
+    Write ``P_j(b)`` for the set { a < b : a <_j b } and ``C_j(b)`` for the
+    level-j keys g <= b that constrain b: g is a level-j domain point,
+    g <=_{j-1} b, and its value v_g is below g (a key valued at or above
+    itself binds nothing).  By the definition, ``P_j(b)`` is the set of
+    a in ``P_{j-1}(b)`` with a <= v_g for every g in ``C_j(b)`` above a.  Let
+    g* be the largest key of ``C_j(b)`` below b.  Then::
+
+        P_j(b) = clip(P_j(g*) u (P_{j-1}(b) n [g*, b)))
+
+    where clip cuts at v_b + 1 when b itself is in ``C_j(b)``.  With no g*,
+    ``P_j(b) = clip(P_{j-1}(b))``.
+
+    Tree laws.  For a < b < c and every level j: (T) a <_j b <_j c implies
+    a <_j c, and (L) a <_j c and b <_j c imply a <_j b.  The proof is by
+    induction on j; at level 0 both are facts of the ordinal order.
+
+    - (T): a <_{j-1} c by induction.  A domain point g in (b, c] with
+      g <=_{j-1} c has f_j(g) >= b > a.  A domain point g in (a, b] with
+      g <=_{j-1} c has g <=_{j-1} b by (L) at j-1, so f_j(g) >= a.
+    - (L): a <_{j-1} b by induction.  A domain point g in (a, b] with
+      g <=_{j-1} b has g <=_{j-1} c by (T) at j-1, so f_j(g) >= a.
+
+    Both use that x <_j y implies x <_{j-1} y, which is the first clause of
+    the definition.
+
+    Neither step reads a value of f_j or a fact about the domains.  So the
+    laws hold in every system, valid or not, and this kernel assumes
+    nothing that ``validate`` checks.
+
+    The recurrence.  g* <_{j-1} b, so for g <= g* the laws at j-1 give
+    g <=_{j-1} b iff g <=_{j-1} g*.  Hence ``P_{j-1}(b) n [0, g*)`` is
+    ``P_{j-1}(g*)``, ``C_j(b) n [0, g*]`` is ``C_j(g*)``, and by the choice
+    of g* no key of ``C_j(b)`` lies in (g*, b).  So an a < g* passes at b iff
+    it passes at g* and meets b's own cap; an a in [g*, b) has only b's cap
+    to meet.  A point that is not a key is the no-cap case: that is the gap
+    lemma.
+
+    The two pieces never touch.  A domain point is a limit: a successor
+    d + 1 has d <_j d + 1 at every level (by induction, since d + 1 is in no
+    domain, d being its largest predecessor), so it is no level limit.  Thus
+    ``P_j(g*)`` ends at v_{g*} + 1 < g*, and the union stays normalized.
+
+    The same identities make ``C_j(g*)``, read off ``P_{j-1}(b)``, the rest
+    of ``C_j(b)``.  So ``_level_step`` walks the level-j keys down from b to
+    g*.  When ``P_j(g*)`` is not cached, ``_descend`` computes it by
+    continuing the walk in a loop: a point in [g, g') between consecutive
+    keys of ``C_j(g*)`` passes iff it is in ``P_{j-1}(b)`` and below the
+    least cap of the keys above it.  The walk ends at the first key whose
+    set is cached, and the result is cached at g*'s owner.  Nothing recurses
+    along the chain of keys: only the domain check in ``_constrains``
+    recurses, one level down.  So the stack grows with the number of levels
+    that carry keys, never with the length of a chain or with a level
+    number.
+    """
     p = _owner(p, beta)
     k = min(k, p.depth)
     cache = p._pred_cache
     result = cache.get((k, beta))
     if result is not None:
         return result
-    result = IntervalSet.of((ZERO, beta))
+    result = IntervalSet._normalized((OrdinalInterval(ZERO, beta),) if beta.terms else ())
     for j, entries in p.levels:
         if j > k:
             break
         below, result = result, cache.get((j, beta))
         if result is None:
-            result = below.intersect(_thresholds(p, j, entries, beta, below))
-            cache[(j, beta)] = result
+            result = cache[(j, beta)] = _level_step(p, j, entries, beta, below)
     cache[(k, beta)] = result
     return result
 
 
-def _thresholds(p: StabilitySystem, j: int, entries: Entries, beta: Ordinal,
+def _level_step(p: StabilitySystem, j: int, entries: Entries, beta: Ordinal,
                 below: IntervalSet) -> IntervalSet:
-    """The a < beta kept by every constraining level-j key in (a, beta].
-
-    Walks the keys at or below beta downward with the running minimum of
-    their values: between consecutive keys a point passes iff it is at most
-    that minimum.  Keys valued at or above themselves bind nothing and are
-    skipped, so each capped end is a successor below the limit key starting
-    the next interval, and the output is normalized.
-    """
-    out: list[OrdinalInterval] = []
-    upper, cap = beta, None
-    for i in range(bisect_right(entries, beta.terms, key=_entry_key) - 1, -1, -1):
+    """P_j(beta) from ``below`` = P_{j-1}(beta) by ``_pred``'s recurrence."""
+    t = beta.terms
+    i = bisect_left(entries, t, key=_entry_key)
+    cap = beta
+    if i < len(entries) and entries[i][0].terms == t:
+        v = entries[i][1]
+        if v.terms < t and _constrains(p, j, beta, beta, below):
+            cap = v + ONE
+    for i in range(i - 1, -1, -1):
         g, v = entries[i]
-        if not (v < g and _constrains(p, j, g, beta, below)):
-            continue
-        if g < upper:
-            _emit(out, g, upper, cap)
+        if v.terms < g.terms and _constrains(p, j, g, beta, below):
+            cache = _owner(p, g)._pred_cache
+            head = cache.get((j, g))
+            if head is None:
+                head = cache[(j, g)] = _descend(p, j, entries, i, below)
+            return _join(head, below, g, cap)
+    return _join(None, below, ZERO, cap)
+
+
+def _descend(p: StabilitySystem, j: int, entries: Entries, i: int,
+             below: IntervalSet) -> IntervalSet:
+    """P_j(g) for the constraining key g = entries[i], from the level-(j-1)
+    set ``below`` of a point whose chain g lies on: one walk down the keys
+    below g with the running minimum of the caps of the constraining ones,
+    ending at the first whose set is cached."""
+    top, v = entries[i]
+    cap, upper, head, lo = v + ONE, top, None, ZERO
+    pieces: list[list[OrdinalInterval]] = []  # from the top down
+    for i in range(i - 1, -1, -1):
+        g, v = entries[i]
+        if v.terms < g.terms and _constrains(p, j, g, top, below):
+            if g.terms < cap.terms:
+                pieces.append(_slice(below.intervals, g, min(upper, cap)))
             upper = g
-        cap = v if cap is None or v < cap else cap
-    _emit(out, ZERO, upper, cap)
-    out.reverse()
+            head = _owner(p, g)._pred_cache.get((j, g))
+            if head is not None:
+                lo = g
+                break
+            if v.terms < cap.terms:
+                cap = v + ONE
+    out = list(_join(head, below, lo, min(upper, cap)).intervals)
+    for piece in reversed(pieces):
+        out += piece
     return IntervalSet._normalized(out)
 
 
-def _emit(out: list[OrdinalInterval], lo: Ordinal, hi: Ordinal, cap: Ordinal | None) -> None:
-    if cap is not None:
-        capped = cap + ONE
-        if capped < hi:
-            hi = capped
-    if lo < hi:
-        out.append(OrdinalInterval(lo, hi))
+def _join(head: IntervalSet | None, below: IntervalSet, lo: Ordinal,
+          hi: Ordinal) -> IntervalSet:
+    """(head u (below n [lo, hi))) n [0, hi), for a ``head`` (None when empty)
+    that ends below ``lo``."""
+    ivs = head.intervals if head is not None else ()
+    if ivs and hi.terms < ivs[-1].high.terms:
+        return IntervalSet._normalized(_slice(ivs, ZERO, hi))
+    if lo.terms < hi.terms:
+        ivs += tuple(_slice(below.intervals, lo, hi))
+    return IntervalSet._normalized(ivs)
+
+
+def _slice(ivs: tuple[OrdinalInterval, ...], lo: Ordinal,
+           hi: Ordinal) -> list[OrdinalInterval]:
+    """The pieces of normalized intervals inside [lo, hi), found by bisection."""
+    out = list(ivs[bisect_right(ivs, lo.terms, key=_high_key):
+                   bisect_left(ivs, hi.terms, key=_low_key)])
+    if out:
+        if out[0].low.terms < lo.terms:
+            out[0] = OrdinalInterval(lo, out[0].high)
+        if hi.terms < out[-1].high.terms:
+            out[-1] = OrdinalInterval(out[-1].low, hi)
+    return out
+
+
+def _low_key(iv: OrdinalInterval) -> tuple:
+    return iv.low.terms
+
+
+def _high_key(iv: OrdinalInterval) -> tuple:
+    return iv.high.terms
 
 
 def _constrains(p: StabilitySystem, j: int, g: Ordinal, beta: Ordinal,

@@ -223,6 +223,18 @@ def test_malformed_pattern_rejected(capsys, tmp_path, pattern):
     assert err.startswith("input error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("points, message", [
+    ([{"pos": "w*6"}], "pattern point 0 is missing 'inC'"),
+    ([_point(), {"inC": False, "cofinalLevels": []}], "pattern point 1 is missing 'pos'"),
+    ([_point(), _point(pos="w*20"), {}], "pattern point 2 is missing 'pos'"),
+])
+def test_missing_point_field_is_named(capsys, tmp_path, points, message):
+    path = tmp_path / "bad_pattern.json"
+    path.write_text(json.dumps({"points": points}), encoding="utf-8")
+    code, out, err = run_cli(capsys, "simulate", str(path))
+    assert (code, out, err) == (2, "", f"input error: {message}\n")
+
+
 def test_level_far_above_one_in_file(capsys, tmp_path):
     path = tmp_path / "deep.json"
     path.write_text(json.dumps({"bound": "w*3+1", "levels": {"5000": {"w*2": "5"}}}),

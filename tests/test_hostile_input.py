@@ -4,6 +4,7 @@ unexpected exception is exit 3, "internal error", and is a bug."""
 
 import io
 import json
+import re
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -11,6 +12,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from stabforce import cli
 from stabforce.cli import main
+from stabforce.errors import NonCanonicalError, OrdinalSyntaxError
+from stabforce.ordinal import parse_ordinal
 
 # argv before the input file, per subcommand; the file is the last argument
 FILE_COMMANDS = {
@@ -184,3 +187,106 @@ def test_fuzzed_files_never_crash(fuzz_dir, command):
             assert out == "" and err.count("\n") == 1, err
 
     check()
+
+
+# -- command-line arguments ------------------------------------------------------
+
+# argv per slot; "{}" is the hostile value.  Options take it as "--opt={}", so
+# that a value starting with "-" still reaches the option, and positionals
+# follow "--" for the same reason.  The file, where there is one, is SYSTEM.
+INTEGER_SLOTS = {
+    "rel --k": ["rel", "--k={}", "5", "w*2"],
+    "preds --k": ["preds", "--k={}", "w*2"],
+    "extend --chain-limit": ["extend", "--chain-limit={}", "--target", "5"],
+    "generic --budget": ["generic", "--budget={}"],
+    "generic --ell": ["generic", "--kappa", "w*5", "--ell={}"],
+    "export-dot --k": ["export-dot", "--k={}"],
+    "selftest --seed": ["selftest", "--seed={}"],
+    "selftest --systems": ["selftest", "--systems={}"],
+}
+ORDINAL_SLOTS = {
+    "rel a": ["rel", "--k", "1", "--", "{}", "w*2"],
+    "rel b": ["rel", "--k", "1", "--", "5", "{}"],
+    "preds b": ["preds", "--k", "1", "--", "{}"],
+    "extend --to": ["extend", "--to={}"],
+    "extend --target": ["extend", "--chain-limit", "1", "--target={}"],
+}
+LONG_SUM = "+".join(f"w^{e}" for e in range(600, 1, -1))  # valid, 3487 characters
+
+_ARG_TEXT = st.one_of(
+    st.sampled_from([HUGE, "-" + HUGE, "x" * 5000, "-" + "x" * 5000, f"w^{HUGE}",
+                     f"w*{HUGE}+1", "w+" * 3000 + "w", "+".join(["1"] * 3000), LONG_SUM + "+w^9",
+                     "", "-", "--", "-h", "--json", " 5", "5_0", "0x1f", "1e3", "1.5", "٣",
+                     "w^1", "w+w", "w*0", "5\n6"]),
+    st.text(max_size=12),
+    st.text(alphabet="0123456789w^*+-_ .", max_size=12),
+)
+
+
+def _is_integer(text):
+    return re.fullmatch(r"-?[0-9]+", text) is not None and len(text.lstrip("-")) <= 4300
+
+
+def _is_ordinal(text):
+    try:
+        parse_ordinal(text)
+    except (OrdinalSyntaxError, NonCanonicalError):
+        return False
+    return True
+
+
+def run_args(tmp, argv):
+    if argv[0] != "selftest":
+        path = tmp / "system.json"
+        path.write_text(json.dumps(SYSTEM), encoding="utf-8")
+        argv = [*argv, str(path)]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refuses the argument
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_short_refusal(code, out, err):
+    assert (code, out) == (2, ""), err
+    assert "Traceback" not in err
+    assert len(err.encode()) < 300, err
+
+
+@pytest.mark.parametrize("slot", sorted(INTEGER_SLOTS) + sorted(ORDINAL_SLOTS))
+def test_fuzzed_arguments_are_refused_briefly(fuzz_dir, slot):
+    argv, valid = ((INTEGER_SLOTS[slot], _is_integer) if slot in INTEGER_SLOTS
+                   else (ORDINAL_SLOTS[slot], _is_ordinal))
+
+    @settings(max_examples=25, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(_ARG_TEXT.filter(lambda text: not valid(text)))
+    def check(text):
+        assert_short_refusal(*run_args(fuzz_dir, [a.replace("{}", text) for a in argv]))
+
+    check()
+
+
+@pytest.mark.parametrize("slot", sorted(INTEGER_SLOTS))
+def test_huge_integer_option_is_named_not_echoed(tmp_path, slot):
+    code, out, err = run_args(tmp_path, [a.replace("{}", HUGE) for a in INTEGER_SLOTS[slot]])
+    assert_short_refusal(code, out, err)
+    assert "5000 digits" in err and "9" * 50 not in err
+
+
+@pytest.mark.parametrize("slot", ["rel a", "rel b", "preds b"])
+def test_long_ordinal_out_of_bounds_is_not_echoed(tmp_path, slot):
+    code, out, err = run_args(tmp_path, [a.replace("{}", LONG_SUM) for a in ORDINAL_SLOTS[slot]])
+    assert_short_refusal(code, out, err)
+    assert "not below the bound" in err and "3487 characters" in err
+
+
+@pytest.mark.parametrize("option", ["--k", "--dense", "--to", "--seed"])
+def test_lone_double_dash_option_value_is_missing(tmp_path, option):
+    head = {"--k": ["rel"], "--dense": ["generic"], "--to": ["extend"], "--seed": ["selftest"]}
+    tail = ["5", "w*2"] if option == "--k" else []
+    code, out, err = run_args(tmp_path, [*head[option], f"{option}=--", *tail])
+    assert_short_refusal(code, out, err)
+    assert f"argument {option}: expected one argument" in err

@@ -23,9 +23,9 @@ from stabforce import (
     validate,
 )
 from stabforce.errors import OutOfBoundsError
-from stabforce.gen import random_system
+from stabforce.gen import mutate_system, random_system
 from stabforce.oracle import BruteEvaluator
-from stabforce.ordinal import Ordinal, format_ordinal
+from stabforce.ordinal import Ordinal, OrdinalInterval, format_ordinal
 from stabforce.ordinal import parse_ordinal as O
 from stabforce.simulate import make_pattern, run_construction
 from stabforce.stability import disagreeing_levels
@@ -326,6 +326,135 @@ def test_kernel_matches_scan_and_oracle_on_random_systems():
         p = random_system(rng, small=True)
         brute = BruteEvaluator(p)
         assert_kernel_matches_scan(p, probe_points(p, extra=brute.limits), brute)
+
+
+# -- the chain-key recurrence against the per-key intersect kernel ------------------
+
+
+def ref_pred(p, k, beta, memo):
+    """pred_set by the kernel the chain-key recurrence replaced: at each level,
+    intersect the set below with the thresholds of every key at or below beta."""
+    k = min(k, p.depth)
+    if (k, beta) not in memo:
+        result = IntervalSet.of((O("0"), beta))
+        for j, entries in p.levels:
+            if j > k:
+                break
+            result = result.intersect(ref_thresholds(p, j, entries, beta, result, memo))
+        memo[k, beta] = result
+    return memo[k, beta]
+
+
+def ref_thresholds(p, j, entries, beta, below, memo):
+    """The a < beta kept by every constraining level-j key in (a, beta]: walk
+    the keys down with the running minimum of their values."""
+    out, upper, cap = [], beta, None
+    for g, v in reversed([e for e in entries if e[0] <= beta]):
+        if not (v < g and ref_constrains(p, j, g, beta, below, memo)):
+            continue
+        if g < upper:
+            ref_emit(out, g, upper, cap)
+            upper = g
+        cap = v if cap is None or v < cap else cap
+    ref_emit(out, O("0"), upper, cap)
+    return IntervalSet(out)
+
+
+def ref_emit(out, lo, hi, cap):
+    if cap is not None and cap + O("1") < hi:
+        hi = cap + O("1")
+    if lo < hi:
+        out.append(OrdinalInterval(lo, hi))
+
+
+def ref_constrains(p, j, g, beta, below, memo):
+    if j == 1:
+        return g.is_limit
+    if not (g == beta or below.member(g)):
+        return False
+    s = ref_pred(p, j - 1, g, memo)
+    return not s.is_empty and not s.has_max()
+
+
+def assert_pred_matches_reference(p, pts):
+    """pred_set equals the reference at levels 1..depth+1 on every point, on
+    p itself and on two link-free copies queried top-down and bottom-up."""
+    memo = {}
+    expect = {(k, b): ref_pred(p, k, b, memo) for k in range(1, p.depth + 2) for b in pts}
+    copies = (p, StabilitySystem(p.bound, p._as_dict()), StabilitySystem(p.bound, p._as_dict()))
+    for q, order in zip(copies, (pts, pts[::-1], pts)):
+        for b in order:
+            for k in range(p.depth + 1, 0, -1):
+                got = pred_set(q, k, b)
+                assert got == expect[k, b], (p, k, b, str(got), str(expect[k, b]))
+                assert IntervalSet(got.intervals) == got, (k, b)
+
+
+def w_plus(i, c):
+    """The ordinal w*i + c."""
+    return Ordinal(((1, i),) if i else ()) + Ordinal.from_int(c)
+
+
+def random_invalid_system(rng):
+    """Keys at limits (and a few successors) on up to three levels, valued at
+    random: most of these break V2-V5 somewhere."""
+    n = rng.randrange(3, 12)
+    bound = w_plus(n + 1, 1) if n < 9 else O("w^2+w*3+1")
+    points = [w_plus(i, 0) for i in range(1, n + 1)] + [O("w^2"), O("w^2+w")] * (n > 8)
+    levels = {}
+    for _ in range(rng.randrange(1, 9)):
+        g = rng.choice(points)
+        if rng.random() < 0.1:
+            g = g + O("1")
+        if g < bound:
+            v = w_plus(rng.randrange(n + 1), rng.randrange(4)) if rng.random() < 0.9 else g + O("2")
+            levels.setdefault(rng.randrange(1, 4), {})[g] = v
+    return StabilitySystem(bound, levels)
+
+
+def test_pred_matches_reference_on_random_systems():
+    rng = random.Random(23)
+    for _ in range(60):
+        p = random_system(rng)
+        assert_pred_matches_reference(p, probe_points(p))
+
+
+def test_pred_matches_reference_on_invalid_systems():
+    rng = random.Random(29)
+    broken = set()
+    for _ in range(40):
+        m = mutate_system(rng, random_system(rng, small=True))
+        pts = probe_points(m) if m.bound.is_successor else tuple(
+            a for a in probe_points(StabilitySystem(m.bound + O("1"), m._as_dict())) if a < m.bound)
+        assert_pred_matches_reference(m, pts)
+        broken.update(v.check for v in validate(m).violations)
+    for _ in range(80):
+        p = random_invalid_system(rng)
+        assert_pred_matches_reference(p, probe_points(p))
+        broken.update(v.check for v in validate(p).violations)
+    assert broken == {"V1", "V2", "V3", "V4", "V5"}
+
+
+@pytest.mark.parametrize("points", [20, 40, 80])
+def test_pred_matches_reference_on_constructions(points):
+    g = run_construction(_chain_pattern(points)).g
+    assert g.exception_count() == 2 * points
+    assert_pred_matches_reference(g, probe_points(g))
+
+
+def test_long_key_chain_needs_no_deep_stack():
+    # every key constrains the top, so the walk below the nearest one passes
+    # all the others
+    n = 5000
+    keys = {w_plus(i, 0): w_plus(i - 1, 1) for i in range(1, n + 1)}
+    top = w_plus(n, 0)
+    for level in (1, 2):
+        p = StabilitySystem(top + O("1"), {level: keys})
+        s = pred_set(p, level, top)
+        assert len(s.intervals) == n
+        assert s.intervals[-1] == OrdinalInterval(w_plus(n - 1, 0), w_plus(n - 1, 2))
+        assert lt_k(p, level, w_plus(n - 1, 1), top)
+        assert not lt_k(p, level, w_plus(n - 1, 2), top)
 
 
 # -- the agreement helper and the format memo -------------------------------------
