@@ -33,7 +33,7 @@ from .errors import (
 )
 from .gen import mutate_system, random_chain, random_system, random_tower
 from .oracle import BruteEvaluator
-from .ordinal import _brief, _nat, format_ordinal, parse_ordinal
+from .ordinal import Ordinal, _brief, _nat, format_ordinal, parse_ordinal
 from .poset import (
     ChainPresentation,
     PosetParams,
@@ -89,6 +89,12 @@ def _integer(text: str) -> int:
         return _nat(text)
     except OrdinalSyntaxError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _ordinals(text: str | None) -> list[Ordinal]:
+    """A comma-separated ordinal list option.  An empty or absent value is no
+    points; an empty term inside a list is an input error."""
+    return [parse_ordinal(t) for t in text.split(",")] if text else []
 
 
 def _no_dupes(pairs):
@@ -222,6 +228,7 @@ def cmd_generic(args) -> int:
 
 def cmd_simulate(args) -> int:
     pattern = pattern_from_dict(_load_json(args.pattern))
+    grid = _ordinals(args.grid)
     pat_report = validate_pattern(pattern)
     if not pat_report.passed:
         _emit(pat_report.to_dict(), args.json,
@@ -244,7 +251,6 @@ def cmd_simulate(args) -> int:
     lines.append(f"stable-pair ordering: {'PASS' if pairs.passed else 'FAIL'}")
     ok = reqs.passed and pairs.passed
     if args.grid:
-        grid = [parse_ordinal(t) for t in args.grid.split(",") if t]
         rep = minimality_report(result, grid)
         payload["minimality"] = minimality_to_dict(rep)
         for f in rep.fates:
@@ -260,8 +266,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_export_dot(args) -> int:
     p = _load_system(args.system)
-    marks = [parse_ordinal(t) for t in args.mark.split(",")] if args.mark else []
-    sys.stdout.write(export_dot(p, args.k, marks))
+    sys.stdout.write(export_dot(p, args.k, _ordinals(args.mark)))
     return OK
 
 
@@ -428,7 +433,8 @@ def main(argv=None) -> int:
         print(f"input error: {exc}", file=sys.stderr)
         return INPUT_ERROR
     except Exception as exc:  # a bug, not bad input: one line, and never exit 1
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        message = " ".join(str(exc).split())
+        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
         return INTERNAL_ERROR
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from .errors import OutOfBoundsError
-from .ordinal import Ordinal, format_ordinal
+from .ordinal import Ordinal, _brief, format_ordinal
 from .stability import StabilitySystem, lt_k
 
 W_SQUARED = Ordinal(((2, 1),))
@@ -27,7 +27,8 @@ def _display_nodes(p: StabilitySystem, marks: Iterable[Ordinal]) -> list[Ordinal
             nodes.add(v)
     for m in marks:
         if not m <= top:
-            raise OutOfBoundsError(f"mark {m} is above the top {top}")
+            raise OutOfBoundsError(f"mark {_brief(format_ordinal(m))} is above the top "
+                                   f"{_brief(format_ordinal(top))}")
         nodes.add(m)
     if top < W_SQUARED:
         m = 1

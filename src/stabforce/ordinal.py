@@ -151,37 +151,6 @@ ONE = Ordinal.from_int(1)
 OMEGA = Ordinal(((1, 1),))
 
 
-def largest_limit_below(h: Ordinal) -> Ordinal | None:
-    """Largest limit ordinal strictly below h, or None.
-
-    None is returned both when there is no limit below h (h <= w) and when the
-    limits below h are cofinal in it (h a lim2 point), since then no largest
-    one exists; callers distinguish via ``h.is_lim2``.
-    """
-    if h.is_zero:
-        return None
-    e_last, c_last = h.terms[-1]
-    if e_last == 0:
-        body = Ordinal(h.terms[:-1])
-        return body if body else None
-    if e_last == 1:
-        if c_last >= 2:
-            return Ordinal(h.terms[:-1] + ((1, c_last - 1),))
-        body = Ordinal(h.terms[:-1])
-        return body if body else None
-    return None
-
-
-def sup_of_limits_between(lo: Ordinal, hi: Ordinal) -> Ordinal | None:
-    """Supremum of the limit ordinals in the open interval (lo, hi), or None."""
-    if hi.is_lim2:
-        return hi
-    s = largest_limit_below(hi)
-    if s is not None and s > lo:
-        return s
-    return None
-
-
 # -- text notation ----------------------------------------------------------
 
 _NAT_RE = re.compile(r"(?:0|[1-9][0-9]*)")
@@ -281,6 +250,15 @@ class OrdinalInterval:
         return f"[{self.low}, {self.high})"
 
 
+# bisection keys of a normalized interval sequence, by low and by high end
+def _low_key(iv: OrdinalInterval) -> Terms:
+    return iv.low.terms
+
+
+def _high_key(iv: OrdinalInterval) -> Terms:
+    return iv.high.terms
+
+
 class IntervalSet:
     """Finite union of disjoint, non-adjacent, sorted half-open intervals.
 
@@ -319,7 +297,7 @@ class IntervalSet:
 
     def member(self, alpha: Ordinal) -> bool:
         ivs = self.intervals
-        i = bisect_right(ivs, alpha.terms, key=lambda iv: iv.low.terms) - 1
+        i = bisect_right(ivs, alpha.terms, key=_low_key) - 1
         return i >= 0 and alpha.terms < ivs[i].high.terms
 
     def sup(self) -> Ordinal:

@@ -26,8 +26,6 @@ from .stability import (
     StabilitySystem,
     disagreeing_levels,
     dom_f,
-    is_k_lim2,
-    is_k_limit,
     le_k,
     lt_k,
     system_from_dict,
@@ -147,7 +145,6 @@ def extend_to_chain_limit(p: StabilitySystem, ell: int, target: Ordinal) -> Stab
         raise OutOfRangeError(f"target {target} must be at most the top {p.top}")
     lam = p.top + OMEGA
     q = extend_with_top_exception(p, lam, ell + 1, target)
-    assert is_k_limit(q, ell, lam) and not is_k_lim2(q, ell, lam)
     assert extends(q, p, ell + 1)
     return q
 

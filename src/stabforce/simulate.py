@@ -25,12 +25,12 @@ from .stability import (
     StabilitySystem,
     Violation,
     _constrains,
+    _pred,
     disagreeing_levels,
     dom_f,
     f_eval,
     le_k,
     lt_k,
-    pred_set,
     system_to_dict,
     validate,
 )
@@ -412,7 +412,7 @@ def _blocking_witness(g: StabilitySystem, alpha: Ordinal,
     for k in range(1, g.depth + 1):
         if lt_k(g, k, alpha, theta):
             continue
-        below = pred_set(g, k - 1, theta) if k > 1 else None
+        below = _pred(g, k - 1, theta)
         for key, value in g.entries_at(k):
             if alpha < key <= theta and value < alpha and _constrains(g, k, key, theta, below):
                 return (k, key, value)

@@ -43,10 +43,11 @@ from .ordinal import (
     Ordinal,
     OrdinalInterval,
     _brief,
+    _high_key,
+    _low_key,
     _nat,
     format_ordinal,
     parse_ordinal,
-    sup_of_limits_between,
 )
 
 Entries = tuple[tuple[Ordinal, Ordinal], ...]
@@ -277,7 +278,9 @@ class CheckReport:
 # -- derived orders ----------------------------------------------------------
 
 
-def _require_in_universe(p: StabilitySystem, *points: Ordinal) -> None:
+def _require_args(p: StabilitySystem, k: int, *points: Ordinal, least: int = 1) -> None:
+    if k < least:
+        raise ValueError(f"level must be >= {least}")
     for a in points:
         if not a < p.bound:
             raise OutOfBoundsError(f"{_brief(format_ordinal(a))} is not below the bound "
@@ -285,17 +288,12 @@ def _require_in_universe(p: StabilitySystem, *points: Ordinal) -> None:
 
 
 def dom_f(p: StabilitySystem, k: int, alpha: Ordinal) -> bool:
-    """Is alpha in the domain of the level-k map?
+    """Is alpha in the domain of the level-k map: is it a level-(k-1) limit?
 
-    Level 1: alpha is a limit ordinal.  Level k+1: alpha is a level-k limit
-    point (strict predecessor set nonempty with no maximum).
+    At level 1 that is a limit ordinal, since level 0 is the ordinal order.
     """
-    if k < 1:
-        raise ValueError("level must be >= 1")
-    _require_in_universe(p, alpha)
-    if k == 1:
-        return alpha.is_limit
-    return is_k_limit(p, k - 1, alpha)
+    _require_args(p, k, alpha)
+    return _is_limit(p, k - 1, alpha)
 
 
 def f_eval(p: StabilitySystem, k: int, alpha: Ordinal) -> Ordinal | None:
@@ -307,14 +305,9 @@ def f_eval(p: StabilitySystem, k: int, alpha: Ordinal) -> Ordinal | None:
 
 
 def lt_k(p: StabilitySystem, k: int, alpha: Ordinal, beta: Ordinal) -> bool:
-    """Strict level-k order: alpha <_k beta iff alpha is in ``pred_set(p, k, beta)``.
-
-    Levels above ``depth`` carry no keys, so k is clamped to it exactly.
-    """
-    if k < 1:
-        raise ValueError("level must be >= 1")
-    _require_in_universe(p, alpha, beta)
-    return _lt(p, min(k, p.depth), alpha, beta)
+    """Strict level-k order: alpha <_k beta iff alpha is in ``pred_set(p, k, beta)``."""
+    _require_args(p, k, alpha, beta)
+    return _lt(p, k, alpha, beta)
 
 
 def _owner(p: StabilitySystem, beta: Ordinal) -> StabilitySystem:
@@ -340,18 +333,12 @@ def _lt(p: StabilitySystem, k: int, alpha: Ordinal, beta: Ordinal) -> bool:
 
 def le_k(p: StabilitySystem, k: int, alpha: Ordinal, beta: Ordinal) -> bool:
     """Reflexive level-k order; level 0 is the plain ordinal order."""
-    if k < 0:
-        raise ValueError("level must be >= 0")
-    _require_in_universe(p, alpha, beta)
-    return _le(p, min(k, p.depth), alpha, beta)
+    _require_args(p, k, alpha, beta, least=0)
+    return _le(p, k, alpha, beta)
 
 
 def _le(p: StabilitySystem, k: int, alpha: Ordinal, beta: Ordinal) -> bool:
-    if alpha == beta:
-        return True
-    if k == 0:
-        return alpha < beta
-    return _lt(p, k, alpha, beta)
+    return alpha == beta or _lt(p, k, alpha, beta)
 
 
 def pred_set(p: StabilitySystem, k: int, beta: Ordinal) -> IntervalSet:
@@ -359,17 +346,15 @@ def pred_set(p: StabilitySystem, k: int, beta: Ordinal) -> IntervalSet:
 
     The only place exception keys are scanned; ``lt_k``, ``le_k`` and
     ``dom_f`` read their answers off it.  Levels are walked bottom-up in a
-    loop and each level's set is cached per (level, point).  Levels above
-    ``depth`` carry no keys, so k is clamped to it exactly.
+    loop and each level's set is cached per (level, point).
     """
-    if k < 1:
-        raise ValueError("level must be >= 1")
-    _require_in_universe(p, beta)
+    _require_args(p, k, beta)
     return _pred(p, k, beta)
 
 
 def _pred(p: StabilitySystem, k: int, beta: Ordinal) -> IntervalSet:
-    """pred_set without the argument checks; level 0 gives [0, beta).
+    """pred_set without the argument checks; level 0 gives [0, beta).  Levels
+    above the owner's ``depth`` carry no keys, so k is clamped to it exactly.
 
     Write ``P_j(b)`` for the set { a < b : a <_j b } and ``C_j(b)`` for the
     level-j keys g <= b that constrain b: g is a level-j domain point,
@@ -515,48 +500,58 @@ def _slice(ivs: tuple[OrdinalInterval, ...], lo: Ordinal,
     return out
 
 
-def _low_key(iv: OrdinalInterval) -> tuple:
-    return iv.low.terms
-
-
-def _high_key(iv: OrdinalInterval) -> tuple:
-    return iv.high.terms
-
-
 def _constrains(p: StabilitySystem, j: int, g: Ordinal, beta: Ordinal,
-                below: IntervalSet | None) -> bool:
+                below: IntervalSet) -> bool:
     """Is the level-j key g <= beta a level-j domain point with g <=_{j-1} beta?
-    ``below``, the level-(j-1) predecessor set of beta, is unused at level 1."""
+    ``below``, the level-(j-1) predecessor set of beta, is unused at level 1,
+    where the test is ``_is_limit`` at level 0, inlined on the hot key walk."""
     if j == 1:
         return g.is_limit
-    return (g == beta or below.member(g)) and _is_limit_set(_pred(p, j - 1, g))
+    return (g == beta or below.member(g)) and _is_limit(p, j - 1, g)
 
 
-def _is_limit_set(s: IntervalSet) -> bool:
-    return not s.is_empty and not s.has_max()
+def _is_limit(p: StabilitySystem, k: int, beta: Ordinal) -> bool:
+    """beta is a level-k limit, its set ``P_k(beta)`` nonempty with no max;
+    at level 0, a limit ordinal."""
+    ivs = _pred(p, k, beta).intervals
+    return bool(ivs) and ivs[-1].high.is_limit
+
+
+def _is_lim2(p: StabilitySystem, k: int, beta: Ordinal) -> bool:
+    """beta is a level-k limit of level-k limits; at level 0, a lim2 ordinal.
+
+    Only the top interval [lo, h) of ``P_k(beta)`` matters: beta is such a
+    point iff beta is a lim2 ordinal and h = beta.
+
+    - If h < beta, every member of ``P_k(beta)`` lies below h, so none are
+      cofinal in beta.
+    - If h = beta and beta is not lim2, every limit ordinal below beta is at
+      most the largest one, which is below beta.
+    - If h = beta and beta is lim2, the limit ordinals in (lo, beta) are
+      cofinal in beta.  Each such lambda is a level-k limit: [lo, lambda)
+      lies in ``P_k(lambda)`` by the tree law (L) of ``_pred``.  And beta is
+      one too, as the set's top end beta is a limit.
+
+    Nothing here reads a map value or assumes a check of ``validate``, so the
+    identity holds in every system, valid or not.
+    """
+    if not beta.is_lim2:
+        return False
+    ivs = _pred(p, k, beta).intervals
+    return bool(ivs) and ivs[-1].high == beta
 
 
 def is_k_limit(p: StabilitySystem, k: int, alpha: Ordinal) -> bool:
     """alpha is a level-k limit: its strict predecessor set is nonempty with no max."""
-    return _is_limit_set(pred_set(p, k, alpha))
+    _require_args(p, k, alpha)
+    return _is_limit(p, k, alpha)
 
 
 def is_k_lim2(p: StabilitySystem, k: int, alpha: Ordinal) -> bool:
-    """alpha is a level-k limit of level-k limits.
-
-    The level-k limit members of the predecessor set are exactly the ordinary
-    limit ordinals interior to its intervals (interval closure makes every
-    such point inherit an unbounded predecessor tail), so their supremum is
-    computable per interval.
-    """
-    if not is_k_limit(p, k, alpha):
-        return False
-    best: Ordinal | None = None
-    for iv in pred_set(p, k, alpha):
-        s = sup_of_limits_between(iv.low, iv.high)
-        if s is not None and (best is None or s > best):
-            best = s
-    return best == alpha
+    """alpha is a level-k limit of level-k limits, read off the top interval
+    of its predecessor set (see ``_is_lim2``)."""
+    _require_args(p, k, alpha)
+    return _is_lim2(p, k, alpha)
 
 
 # -- validation ---------------------------------------------------------------
@@ -608,13 +603,11 @@ def _fresh_report(p: StabilitySystem) -> ValidationReport:
             if not v <= g:
                 violations.append(Violation("V3", k, subject,
                                             f"value {v} exceeds key"))
-            if v < g:
-                lim2 = g.is_lim2 if k == 1 else is_k_lim2(p, k - 1, g)
-                if lim2:
-                    violations.append(Violation(
-                        "V4", k, subject,
-                        f"value {v} at a lim2 point of the level-{k} chain; "
-                        f"continuity forces the identity there"))
+            if v < g and _is_lim2(p, k - 1, g):
+                violations.append(Violation(
+                    "V4", k, subject,
+                    f"value {v} at a lim2 point of the level-{k} chain; "
+                    f"continuity forces the identity there"))
             if not _le(p, k, v, g):
                 violations.append(Violation("V5", k, subject,
                                             f"value {v} not below key in the level-{k} order"))
@@ -632,10 +625,10 @@ def probe_points(p: StabilitySystem, extra: Iterable[Ordinal] = (), cap: int | N
             priority += [g, v]
             rest += [g + ONE, v + ONE]
     rest.extend(extra)
-    seen = []
+    seen: dict[Ordinal, None] = {}  # insertion-ordered, so ``cap`` keeps the first
     for a in priority + rest:
-        if a <= top and a not in seen:
-            seen.append(a)
+        if a <= top:
+            seen[a] = None
         if cap is not None and len(seen) >= cap:
             break
     return tuple(sorted(seen, key=lambda a: a.terms))
@@ -705,10 +698,8 @@ def check_predecessor_laws(p: StabilitySystem, k: int,
                     f"value {v} is not the largest strict predecessor (got {got})"))
     pts = tuple(probe if probe is not None else probe_points(p))
     for alpha in pts:
-        lim2 = alpha.is_lim2 if k == 1 else is_k_lim2(p, k - 1, alpha)
-        if not lim2:
-            continue
-        if f_eval(p, k, alpha) == alpha and not is_k_limit(p, k, alpha):
+        if _is_lim2(p, k - 1, alpha) and f_eval(p, k, alpha) == alpha \
+                and not is_k_limit(p, k, alpha):
             violations.append(Violation(
                 "unboundedness", k, format_ordinal(alpha),
                 "identity value but predecessors not cofinal"))

@@ -31,13 +31,25 @@ PATTERNS = {
     "p2": make_pattern([("w*6", True, []), ("w*20", True, [])], [("w*6", "w*20", 1)]),
     "p3": make_pattern([("w*6", True, [1]), ("w*20", True, [])], [("w*6", "w*20", 2)]),
 }
-# the ``system_file`` fixture of test_cli: bound w*3+1, level 1 w*2 -> 5
-SYSTEM = StabilitySystem(O("w*3+1"), {1: {O("w*2"): O("5")}})
+SYSTEMS = {
+    # the ``system_file`` fixture of test_cli: bound w*3+1, level 1 w*2 -> 5
+    "system": StabilitySystem(O("w*3+1"), {1: {O("w*2"): O("5")}}),
+    # V4 at level 1: a below-identity value at the lim2 ordinal w^2
+    "v4_level1": StabilitySystem(O("w^2*2+1"), {1: {O("w*2"): O("5"), O("w^2"): O("w*3"),
+                                                     O("w^2+w"): O("w^2")}}),
+    # V4 at level 2, twice: w^2 and w^2*2 are lim2 points of the level-1 chain,
+    # w^2+w*2 is not
+    "v4_level2": StabilitySystem(O("w^2*2+1"), {
+        1: {O("w*3"): O("5")},
+        2: {O("w^2"): O("w*4"), O("w^2+w*2"): O("w^2+w"), O("w^2*2"): O("w^2+w*5")}}),
+}
 
 CASES = {
     **{f"simulate_{name}": ["simulate", "--json", f"{name}.json", "--grid", GRID]
        for name in PATTERNS},
     "validate": ["validate", "--json", "system.json"],
+    "validate_v4_level1": ["validate", "--json", "v4_level1.json"],
+    "validate_v4_level2": ["validate", "--json", "v4_level2.json"],
     **{f"preds_k{k}": ["preds", "--k", str(k), "w*3", "system.json"] for k in (1, 2, 3)},
 }
 
@@ -46,7 +58,8 @@ def write_inputs(directory: Path) -> None:
     for name, pattern in PATTERNS.items():
         (directory / f"{name}.json").write_text(json.dumps(pattern_to_dict(pattern)),
                                                 encoding="utf-8")
-    (directory / "system.json").write_text(system_to_json(SYSTEM), encoding="utf-8")
+    for name, system in SYSTEMS.items():
+        (directory / f"{name}.json").write_text(system_to_json(system), encoding="utf-8")
 
 
 def run_case(directory: Path, argv: list[str]) -> bytes:

@@ -87,6 +87,19 @@ def test_unexpected_exception_is_exit_3(tmp_path, monkeypatch):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("message", ["division by zero\nsecond line", "a\r\nb", "\ta  b\n",
+                                     "\n\n"])
+def test_internal_error_message_is_one_line(tmp_path, monkeypatch, message):
+    def broken(p):
+        raise ZeroDivisionError(message)
+
+    monkeypatch.setattr(cli, "validate", broken)
+    code, out, err = run(tmp_path, ["validate"], json.dumps(SYSTEM))
+    assert (code, out) == (3, "")
+    assert err == f"internal error: ZeroDivisionError: {' '.join(message.split())}\n"
+    assert err.count("\n") == 1
+
+
 # -- fuzz ------------------------------------------------------------------------
 
 _ORDINAL_TEXT = st.sampled_from([
@@ -193,7 +206,8 @@ def test_fuzzed_files_never_crash(fuzz_dir, command):
 
 # argv per slot; "{}" is the hostile value.  Options take it as "--opt={}", so
 # that a value starting with "-" still reaches the option, and positionals
-# follow "--" for the same reason.  The file, where there is one, is SYSTEM.
+# follow "--" for the same reason.  The file, where there is one, is PATTERN for
+# simulate and SYSTEM otherwise.
 INTEGER_SLOTS = {
     "rel --k": ["rel", "--k={}", "5", "w*2"],
     "preds --k": ["preds", "--k={}", "w*2"],
@@ -210,6 +224,10 @@ ORDINAL_SLOTS = {
     "preds b": ["preds", "--k", "1", "--", "{}"],
     "extend --to": ["extend", "--to={}"],
     "extend --target": ["extend", "--chain-limit", "1", "--target={}"],
+}
+LIST_SLOTS = {
+    "simulate --grid": ["simulate", "--grid={}"],
+    "export-dot --mark": ["export-dot", "--k", "1", "--mark={}"],
 }
 LONG_SUM = "+".join(f"w^{e}" for e in range(600, 1, -1))  # valid, 3487 characters
 
@@ -235,10 +253,15 @@ def _is_ordinal(text):
     return True
 
 
+def _is_ordinal_list(text):
+    return text == "" or all(_is_ordinal(term) for term in text.split(","))
+
+
 def run_args(tmp, argv):
     if argv[0] != "selftest":
-        path = tmp / "system.json"
-        path.write_text(json.dumps(SYSTEM), encoding="utf-8")
+        path = tmp / "input.json"
+        path.write_text(json.dumps(PATTERN if argv[0] == "simulate" else SYSTEM),
+                        encoding="utf-8")
         argv = [*argv, str(path)]
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
@@ -269,6 +292,52 @@ def test_fuzzed_arguments_are_refused_briefly(fuzz_dir, slot):
     check()
 
 
+_LIST_TEXT = st.one_of(_ARG_TEXT, st.lists(_ARG_TEXT | _ORDINAL_TEXT | st.just(LONG_SUM),
+                                           min_size=1, max_size=4).map(",".join))
+
+
+@pytest.mark.parametrize("slot", sorted(LIST_SLOTS))
+def test_fuzzed_ordinal_lists_never_crash(fuzz_dir, slot):
+    @settings(max_examples=40, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(_LIST_TEXT)
+    def check(text):
+        code, out, err = run_args(fuzz_dir, [a.replace("{}", text) for a in LIST_SLOTS[slot]])
+        if _is_ordinal_list(text):  # answered, or a point outside the system
+            assert code in (0, 1, 2) and "Traceback" not in err, err
+            assert len(err.encode()) < 300, err
+        else:
+            assert_short_refusal(code, out, err)
+
+    check()
+
+
+@pytest.mark.parametrize("text", [",", "w,", ",w", "w,,w*2"])
+@pytest.mark.parametrize("slot", sorted(LIST_SLOTS))
+def test_empty_term_in_an_ordinal_list_is_refused(tmp_path, slot, text):
+    code, out, err = run_args(tmp_path, [a.replace("{}", text) for a in LIST_SLOTS[slot]])
+    assert_short_refusal(code, out, err)
+    assert err == "input error: empty term\n"
+
+
+def test_bad_grid_is_refused_before_the_construction(tmp_path):
+    # w*7, the alpha of w*6, cannot sit below w*13: the construction exits 1
+    unreachable = {"points": [{"pos": "w*6", "inC": True, "cofinalLevels": [1]},
+                              {"pos": "w*10", "inC": False}, {"pos": "w*13", "inC": True}],
+                   "st": [["w*6", "w*13", 1]]}
+    assert run(tmp_path, ["simulate"], json.dumps(unreachable))[0] == 1
+    code, out, err = run(tmp_path, ["simulate", "--grid", "w,"], json.dumps(unreachable))
+    assert_input_error(code, out, err)
+
+
+@pytest.mark.parametrize("slot", sorted(LIST_SLOTS))
+def test_empty_ordinal_list_is_no_points(tmp_path, slot):
+    without = [a for a in LIST_SLOTS[slot] if "{}" not in a]
+    assert run_args(tmp_path, [a.replace("{}", "") for a in LIST_SLOTS[slot]]) \
+        == run_args(tmp_path, without)
+    assert run_args(tmp_path, without)[0] == 0
+
+
 @pytest.mark.parametrize("slot", sorted(INTEGER_SLOTS))
 def test_huge_integer_option_is_named_not_echoed(tmp_path, slot):
     code, out, err = run_args(tmp_path, [a.replace("{}", HUGE) for a in INTEGER_SLOTS[slot]])
@@ -281,6 +350,12 @@ def test_long_ordinal_out_of_bounds_is_not_echoed(tmp_path, slot):
     code, out, err = run_args(tmp_path, [a.replace("{}", LONG_SUM) for a in ORDINAL_SLOTS[slot]])
     assert_short_refusal(code, out, err)
     assert "not below the bound" in err and "3487 characters" in err
+
+
+def test_long_mark_above_the_top_is_not_echoed(tmp_path):
+    code, out, err = run_args(tmp_path, ["export-dot", "--k", "1", f"--mark=w,{LONG_SUM}"])
+    assert_short_refusal(code, out, err)
+    assert "above the top" in err and "3487 characters" in err
 
 
 @pytest.mark.parametrize("option", ["--k", "--dense", "--to", "--seed"])

@@ -12,9 +12,7 @@ from stabforce.ordinal import (
     Ordinal,
     OrdinalInterval,
     format_ordinal,
-    largest_limit_below,
     parse_ordinal as O,
-    sup_of_limits_between,
 )
 
 
@@ -78,6 +76,42 @@ def test_predecessor():
         O("w").predecessor()
     with pytest.raises(ValueError):
         ZERO.predecessor()
+
+
+# Test-local copies of two helpers the engine no longer needs: ``is_k_lim2``
+# once took the supremum of the limits in every interval of a predecessor set
+# with them.  ``test_stability`` keeps that sweep as a reference.
+
+
+def largest_limit_below(h: Ordinal) -> Ordinal | None:
+    """Largest limit ordinal strictly below h, or None.
+
+    None is returned both when there is no limit below h (h <= w) and when the
+    limits below h are cofinal in it (h a lim2 point), since then no largest
+    one exists; callers distinguish via ``h.is_lim2``.
+    """
+    if h.is_zero:
+        return None
+    e_last, c_last = h.terms[-1]
+    if e_last == 0:
+        body = Ordinal(h.terms[:-1])
+        return body if body else None
+    if e_last == 1:
+        if c_last >= 2:
+            return Ordinal(h.terms[:-1] + ((1, c_last - 1),))
+        body = Ordinal(h.terms[:-1])
+        return body if body else None
+    return None
+
+
+def sup_of_limits_between(lo: Ordinal, hi: Ordinal) -> Ordinal | None:
+    """Supremum of the limit ordinals in the open interval (lo, hi), or None."""
+    if hi.is_lim2:
+        return hi
+    s = largest_limit_below(hi)
+    if s is not None and s > lo:
+        return s
+    return None
 
 
 def test_largest_limit_below():

@@ -29,6 +29,7 @@ from stabforce.ordinal import Ordinal, OrdinalInterval, format_ordinal
 from stabforce.ordinal import parse_ordinal as O
 from stabforce.simulate import make_pattern, run_construction
 from stabforce.stability import disagreeing_levels
+from test_ordinal import sup_of_limits_between
 
 
 def test_dom_f_examples(pstar):
@@ -455,6 +456,95 @@ def test_long_key_chain_needs_no_deep_stack():
         assert s.intervals[-1] == OrdinalInterval(w_plus(n - 1, 0), w_plus(n - 1, 2))
         assert lt_k(p, level, w_plus(n - 1, 1), top)
         assert not lt_k(p, level, w_plus(n - 1, 2), top)
+
+
+# -- limit facts off the top interval, and the probe grid ---------------------------
+
+
+def sweep_is_k_lim2(p, k, alpha):
+    """The interval sweep ``is_k_lim2`` made before it read the top interval
+    alone: a level-k limit whose limits' supremum, taken per interval, is alpha."""
+    if not is_k_limit(p, k, alpha):
+        return False
+    best = None
+    for iv in pred_set(p, k, alpha):
+        s = sup_of_limits_between(iv.low, iv.high)
+        if s is not None and (best is None or s > best):
+            best = s
+    return best == alpha
+
+
+LIM2_EXTRA = [O("w^2"), O("w^2*2"), O("w^2+w*3")]
+LIM2_KEYS = [O(t) for t in ("w^2", "w^2*2", "w^2*3", "w^3", "w^3+w^2", "w^2+w", "w*3")]
+
+
+def random_lim2_key_system(rng):
+    """Keys mostly at lim2 positions on up to three levels, valued at random:
+    most of these break V2-V5 somewhere."""
+    levels = {}
+    for _ in range(rng.randrange(1, 8)):
+        g = rng.choice(LIM2_KEYS)
+        v = g if rng.random() < 0.2 else rng.choice(LIM2_KEYS + [O("0"), O("5"), O("w")])
+        levels.setdefault(rng.randrange(1, 4), {})[g] = v
+    return StabilitySystem(O("w^3+w^2+w+1"), levels)
+
+
+def successor_probe(m, extra=()):
+    """Probe points of m, whose bound may be a limit (V1 broken)."""
+    if m.bound.is_successor:
+        return probe_points(m, extra=extra)
+    q = StabilitySystem(m.bound + O("1"), m._as_dict())
+    return tuple(a for a in probe_points(q, extra=extra) if a < m.bound)
+
+
+def test_is_k_lim2_matches_interval_sweep():
+    rng = random.Random(8)
+    systems = []
+    for _ in range(200):
+        p = random_system(rng)
+        systems += [p, mutate_system(rng, p)]
+    lim2_keyed = [random_lim2_key_system(rng) for _ in range(200)]
+    systems += lim2_keyed + [run_construction(_chain_pattern(n)).g for n in (20, 40)]
+    seen = set()
+    for p in systems:
+        for a in successor_probe(p, LIM2_EXTRA):
+            for k in range(1, p.depth + 2):
+                got = is_k_lim2(p, k, a)
+                assert got == sweep_is_k_lim2(p, k, a), (p, k, a)
+                seen.add(got)
+    assert seen == {True, False}
+    assert sum(not validate(p).valid for p in lim2_keyed) > 150
+    assert any("V4" in {v.check for v in validate(p).violations} for p in lim2_keyed)
+
+
+def list_probe_points(p, extra=(), cap=None):
+    """``probe_points`` as it was, deduplicating by a list scan."""
+    top = p.top
+    priority, rest = [O("0"), top], [O("1")]
+    for _, entries in p.levels:
+        for g, v in entries:
+            priority += [g, v]
+            rest += [g + O("1"), v + O("1")]
+    rest.extend(extra)
+    seen = []
+    for a in priority + rest:
+        if a <= top and a not in seen:
+            seen.append(a)
+        if cap is not None and len(seen) >= cap:
+            break
+    return tuple(sorted(seen, key=lambda a: a.terms))
+
+
+def test_probe_points_match_list_scan():
+    rng = random.Random(31)
+    systems = [random_system(rng) for _ in range(60)]
+    systems += [random_lim2_key_system(rng) for _ in range(30)]
+    systems += [run_construction(_chain_pattern(n)).g for n in (20, 40)]
+    for p in systems:
+        for extra in ((), LIM2_EXTRA + [O("1"), p.top]):
+            for cap in (None, 1, 2, 5, 12, 40):
+                got = probe_points(p, extra=extra, cap=cap)
+                assert got == list_probe_points(p, extra=extra, cap=cap), (p, extra, cap)
 
 
 # -- the agreement helper and the format memo -------------------------------------
