@@ -17,6 +17,7 @@ import random
 import re
 import sys
 from functools import cache
+from typing import Callable
 
 from .dot import export_dot
 from .errors import (
@@ -59,6 +60,7 @@ from .simulate import (
 )
 from .stability import (
     StabilitySystem,
+    _json_text,
     check_predecessor_laws,
     check_tree_properties,
     is_k_limit,
@@ -118,18 +120,21 @@ def _load_system(path: str) -> StabilitySystem:
     return system_from_dict(_load_json(path))
 
 
-def _emit(payload: dict, as_json: bool, human: str) -> None:
+def _emit(as_json: bool, payload: Callable[[], dict], human: Callable[[], str]) -> None:
+    """Print ``payload()`` as JSON text under --json, else the text
+    ``human()``; only the one printed is built."""
     if as_json:
-        print(json.dumps(payload, indent=2, sort_keys=False))
+        print(_json_text(payload()))
     else:
-        print(human, end="" if human.endswith("\n") else "\n")
+        text = human()
+        print(text, end="" if text.endswith("\n") else "\n")
 
 
 def cmd_validate(args) -> int:
     p = _load_system(args.system)
     report = validate(p)
-    human = "valid" if report.valid else "\n".join(str(v) for v in report.violations)
-    _emit(report.to_dict(), args.json, human)
+    _emit(args.json, report.to_dict,
+          lambda: "valid" if report.valid else "\n".join(map(str, report.violations)))
     return OK if report.valid else CHECK_FAILED
 
 
@@ -138,8 +143,8 @@ def cmd_rel(args) -> int:
     a = parse_ordinal(args.a)
     b = parse_ordinal(args.b)
     res = lt_k(p, args.k, a, b)
-    _emit({"k": args.k, "a": args.a, "b": args.b, "lt": res}, args.json,
-          "true" if res else "false")
+    _emit(args.json, lambda: {"k": args.k, "a": args.a, "b": args.b, "lt": res},
+          lambda: "true" if res else "false")
     return OK
 
 
@@ -147,10 +152,11 @@ def cmd_preds(args) -> int:
     p = _load_system(args.system)
     b = parse_ordinal(args.b)
     s = pred_set(p, args.k, b)
-    payload = {"k": args.k, "b": args.b,
-               "intervals": [[format_ordinal(iv.low), format_ordinal(iv.high)]
-                             for iv in s]}
-    _emit(payload, args.json, str(s))
+    _emit(args.json,
+          lambda: {"k": args.k, "b": args.b,
+                   "intervals": [[format_ordinal(iv.low), format_ordinal(iv.high)]
+                                 for iv in s]},
+          lambda: str(s))
     return OK
 
 
@@ -167,7 +173,7 @@ def cmd_extend(args) -> int:
         except TargetNotReachableError as exc:
             print(f"target not reachable: {exc}", file=sys.stderr)
             return CHECK_FAILED
-    _emit(system_to_dict(q), args.json, system_to_json(q))
+    _emit(args.json, lambda: system_to_dict(q), lambda: system_to_json(q))
     return OK
 
 
@@ -178,7 +184,7 @@ def cmd_infimum(args) -> int:
     except NotDescendingError as exc:
         print(f"not a descending chain: {exc}", file=sys.stderr)
         return CHECK_FAILED
-    _emit(system_to_dict(q), args.json, system_to_json(q))
+    _emit(args.json, lambda: system_to_dict(q), lambda: system_to_json(q))
     return OK
 
 
@@ -212,17 +218,24 @@ def cmd_generic(args) -> int:
     except BudgetExhaustedError as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return CHECK_FAILED
-    payload = {"system": system_to_dict(q),
+    member = in_poset(q, params) if params is not None else None
+
+    def payload() -> dict:
+        out = {"system": system_to_dict(q),
                "trace": [{"step": label, "top": format_ordinal(s.top)}
                          for label, s in trace]}
-    lines = [f"{label}: top {s.top}" for label, s in trace]
-    if params is not None:
-        member = in_poset(q, params)
-        payload["inPoset"] = member
-        lines.append(f"result in P({params.kappa}, {params.ell}, {params.gamma}): "
-                     f"{'yes' if member else 'no'}")
-    human = "\n".join(lines) + "\n" + system_to_json(q)
-    _emit(payload, args.json, human)
+        if params is not None:
+            out["inPoset"] = member
+        return out
+
+    def human() -> str:
+        lines = [f"{label}: top {s.top}" for label, s in trace]
+        if params is not None:
+            lines.append(f"result in P({params.kappa}, {params.ell}, {params.gamma}): "
+                         f"{'yes' if member else 'no'}")
+        return "\n".join(lines) + "\n" + system_to_json(q)
+
+    _emit(args.json, payload, human)
     return OK
 
 
@@ -231,8 +244,8 @@ def cmd_simulate(args) -> int:
     grid = _ordinals(args.grid)
     pat_report = validate_pattern(pattern)
     if not pat_report.passed:
-        _emit(pat_report.to_dict(), args.json,
-              "\n".join(str(v) for v in pat_report.violations))
+        _emit(args.json, pat_report.to_dict,
+              lambda: "\n".join(map(str, pat_report.violations)))
         return CHECK_FAILED
     try:
         result = run_construction(pattern)
@@ -241,27 +254,34 @@ def cmd_simulate(args) -> int:
         return CHECK_FAILED
     reqs = check_requirements(result, pattern)
     pairs = check_stable_pairs(result, pattern)
-    payload = result_to_dict(result)
-    payload["requirements"] = reqs.to_dict()
-    payload["stablePairs"] = pairs.to_dict()
-    lines = []
-    for o in result.per_point:
-        lines.append(f"point {o.pos}: ell={o.ell} gamma={o.gamma} alpha={o.alpha}")
-    lines.append(f"requirements: {'PASS' if reqs.passed else 'FAIL'}")
-    lines.append(f"stable-pair ordering: {'PASS' if pairs.passed else 'FAIL'}")
-    ok = reqs.passed and pairs.passed
-    if args.grid:
-        rep = minimality_report(result, grid)
-        payload["minimality"] = minimality_to_dict(rep)
-        for f in rep.fates:
-            if f.blocked_at:
-                lvl, key, value = f.blocked_at
-                lines.append(f"{f.alpha}: blocked at level {lvl} by {key} -> {value}")
-            else:
-                lines.append(f"{f.alpha}: {'survives' if f.settled else 'beyond settled region'}")
-        lines.append("survivors: " + (", ".join(str(a) for a in rep.survivors) or "none"))
-    _emit(payload, args.json, "\n".join(lines))
-    return OK if ok else CHECK_FAILED
+    rep = minimality_report(result, grid) if args.grid else None
+
+    def payload() -> dict:
+        out = result_to_dict(result)
+        out["requirements"] = reqs.to_dict()
+        out["stablePairs"] = pairs.to_dict()
+        if rep is not None:
+            out["minimality"] = minimality_to_dict(rep)
+        return out
+
+    def human() -> str:
+        lines = [f"point {o.pos}: ell={o.ell} gamma={o.gamma} alpha={o.alpha}"
+                 for o in result.per_point]
+        lines.append(f"requirements: {'PASS' if reqs.passed else 'FAIL'}")
+        lines.append(f"stable-pair ordering: {'PASS' if pairs.passed else 'FAIL'}")
+        if rep is not None:
+            for f in rep.fates:
+                if f.blocked_at:
+                    lvl, key, value = f.blocked_at
+                    lines.append(f"{f.alpha}: blocked at level {lvl} by {key} -> {value}")
+                else:
+                    lines.append(f"{f.alpha}: "
+                                 f"{'survives' if f.settled else 'beyond settled region'}")
+            lines.append("survivors: " + (", ".join(str(a) for a in rep.survivors) or "none"))
+        return "\n".join(lines)
+
+    _emit(args.json, payload, human)
+    return OK if reqs.passed and pairs.passed else CHECK_FAILED
 
 
 def cmd_export_dot(args) -> int:
@@ -324,13 +344,9 @@ def cmd_selftest(args) -> int:
     failures = _selftest_failures(args.seed, args.systems)
     suites = ["oracle differential", "tree/order properties",
               "extension towers", "chain infima"]
-    if args.json:
-        print(json.dumps({"failures": failures, "passed": not failures}, indent=2))
-    else:
-        for f in failures:
-            print(f"FAIL {f}")
-        if not failures:
-            print(f"PASS {', '.join(suites)} ({args.systems} systems, seed {args.seed})")
+    _emit(args.json, lambda: {"failures": failures, "passed": not failures},
+          lambda: "\n".join(f"FAIL {f}" for f in failures)
+          or f"PASS {', '.join(suites)} ({args.systems} systems, seed {args.seed})")
     return OK if not failures else CHECK_FAILED
 
 

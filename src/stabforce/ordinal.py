@@ -35,6 +35,8 @@ Terms = tuple[tuple[int, int], ...]
 class Ordinal:
     """An ordinal below w^w in Cantor normal form; immutable and hashable.
 
+    The constructor checks its terms; the module's own arithmetic and parser
+    build terms that are in CNF by construction and use ``_from_cnf``.
     ``_text`` memoizes the ``format_ordinal`` spelling once it is asked for.
     """
 
@@ -57,7 +59,7 @@ class Ordinal:
     def from_int(cls, n: int) -> "Ordinal":
         if n < 0:
             raise ValueError("ordinals are non-negative")
-        return cls(((0, n),) if n else ())
+        return _from_cnf(((0, n),) if n else ())
 
     # -- structure ---------------------------------------------------------
 
@@ -89,7 +91,7 @@ class Ordinal:
             raise ValueError(f"{self} is not a successor ordinal")
         e, c = self.terms[-1]
         rest = self.terms[:-1]
-        return Ordinal(rest if c == 1 else rest + ((0, c - 1),))
+        return _from_cnf(rest if c == 1 else rest + ((0, c - 1),))
 
     # -- arithmetic --------------------------------------------------------
 
@@ -104,9 +106,9 @@ class Ordinal:
         kept = tuple(t for t in self.terms if t[0] > lead)
         absorbed = next((t for t in self.terms if t[0] == lead), None)
         if absorbed is None:
-            return Ordinal(kept + other.terms)
+            return _from_cnf(kept + other.terms)
         merged = (lead, absorbed[1] + other.terms[0][1])
-        return Ordinal(kept + (merged,) + other.terms[1:])
+        return _from_cnf(kept + (merged,) + other.terms[1:])
 
     # -- comparisons -------------------------------------------------------
 
@@ -144,6 +146,16 @@ class Ordinal:
 
     def __repr__(self) -> str:
         return f"Ordinal({format_ordinal(self)!r})"
+
+
+def _from_cnf(terms: Terms) -> Ordinal:
+    """The ordinal of a tuple of int pairs already in CNF (exponents strictly
+    decreasing, coefficients positive), without ``Ordinal``'s checks."""
+    a = object.__new__(Ordinal)
+    a.terms = terms
+    a._hash = hash(terms)
+    a._text = None
+    return a
 
 
 ZERO = Ordinal()
@@ -209,7 +221,7 @@ def parse_ordinal(text: str) -> Ordinal:
     for (e1, _), (e2, _) in zip(terms, terms[1:]):
         if e2 >= e1:
             raise NonCanonicalError(f"{_brief(text)!r}: exponents must strictly decrease")
-    return Ordinal(terms)
+    return _from_cnf(tuple(terms))
 
 
 def format_ordinal(a: Ordinal) -> str:

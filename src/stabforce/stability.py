@@ -32,6 +32,7 @@ import json
 import re
 from bisect import bisect_left, bisect_right
 from dataclasses import asdict, dataclass
+from json.encoder import encode_basestring_ascii as _quote
 from operator import itemgetter
 from typing import Iterable, Mapping
 
@@ -281,8 +282,9 @@ class CheckReport:
 def _require_args(p: StabilitySystem, k: int, *points: Ordinal, least: int = 1) -> None:
     if k < least:
         raise ValueError(f"level must be >= {least}")
+    t = p.bound.terms
     for a in points:
-        if not a < p.bound:
+        if not a.terms < t:
             raise OutOfBoundsError(f"{_brief(format_ordinal(a))} is not below the bound "
                                    f"{_brief(format_ordinal(p.bound))}")
 
@@ -328,7 +330,7 @@ def _owner(p: StabilitySystem, beta: Ordinal) -> StabilitySystem:
 
 
 def _lt(p: StabilitySystem, k: int, alpha: Ordinal, beta: Ordinal) -> bool:
-    return alpha < beta and _pred(p, k, beta).member(alpha)
+    return alpha.terms < beta.terms and _pred(p, k, beta).member(alpha)
 
 
 def le_k(p: StabilitySystem, k: int, alpha: Ordinal, beta: Ordinal) -> bool:
@@ -338,7 +340,7 @@ def le_k(p: StabilitySystem, k: int, alpha: Ordinal, beta: Ordinal) -> bool:
 
 
 def _le(p: StabilitySystem, k: int, alpha: Ordinal, beta: Ordinal) -> bool:
-    return alpha == beta or _lt(p, k, alpha, beta)
+    return alpha.terms == beta.terms or _lt(p, k, alpha, beta)
 
 
 def pred_set(p: StabilitySystem, k: int, beta: Ordinal) -> IntervalSet:
@@ -353,8 +355,9 @@ def pred_set(p: StabilitySystem, k: int, beta: Ordinal) -> IntervalSet:
 
 
 def _pred(p: StabilitySystem, k: int, beta: Ordinal) -> IntervalSet:
-    """pred_set without the argument checks; level 0 gives [0, beta).  Levels
-    above the owner's ``depth`` carry no keys, so k is clamped to it exactly.
+    """pred_set without the argument checks; level 0 gives [0, beta), which is
+    not cached.  Levels above the owner's ``depth`` carry no keys, so k is
+    clamped to it exactly.
 
     Write ``P_j(b)`` for the set { a < b : a <_j b } and ``C_j(b)`` for the
     level-j keys g <= b that constrain b: g is a level-j domain point,
@@ -410,13 +413,15 @@ def _pred(p: StabilitySystem, k: int, beta: Ordinal) -> IntervalSet:
     that carry keys, never with the length of a chain or with a level
     number.
     """
+    if k == 0:
+        return _segment(beta)
     p = _owner(p, beta)
     k = min(k, p.depth)
     cache = p._pred_cache
     result = cache.get((k, beta))
     if result is not None:
         return result
-    result = IntervalSet._normalized((OrdinalInterval(ZERO, beta),) if beta.terms else ())
+    result = _segment(beta)
     for j, entries in p.levels:
         if j > k:
             break
@@ -425,6 +430,11 @@ def _pred(p: StabilitySystem, k: int, beta: Ordinal) -> IntervalSet:
             result = cache[(j, beta)] = _level_step(p, j, entries, beta, below)
     cache[(k, beta)] = result
     return result
+
+
+def _segment(beta: Ordinal) -> IntervalSet:
+    """[0, beta), the level-0 predecessor set."""
+    return IntervalSet._normalized((OrdinalInterval(ZERO, beta),) if beta.terms else ())
 
 
 def _level_step(p: StabilitySystem, j: int, entries: Entries, beta: Ordinal,
@@ -744,7 +754,52 @@ def system_from_dict(d: Mapping) -> StabilitySystem:
 
 
 def system_to_json(p: StabilitySystem) -> str:
-    return json.dumps(system_to_dict(p), indent=2, sort_keys=False)
+    return _json_text(system_to_dict(p))
+
+
+def _json_text(obj) -> str:
+    """``json.dumps(obj, indent=2)``, byte for byte, for a payload built of
+    dicts with str keys, lists, str, int, bool and None.
+
+    Any ``indent`` sends the standard encoder down its pure-Python path, while
+    a payload of the CLI (a trace repeats a whole system per step) is mostly
+    maps of ordinal text; here strings go through the C escaper and a dict of
+    strings is one ``join``.  Any other type, a float, a tuple or a non-str
+    key included, raises TypeError: the CLI prints none.
+    """
+    return _encode(obj, "\n")
+
+
+def _encode(obj, nl: str) -> str:
+    """``obj`` as JSON text whose lines after the first start with ``nl``."""
+    t = type(obj)
+    if t is str:
+        return _quote(obj)
+    if t is dict:
+        if not obj:
+            return "{}"
+        inner = nl + "  "  # _quote raises TypeError on a key that is not a str
+        for v in obj.values():
+            if type(v) is not str:
+                items = [f"{_quote(k)}: {_encode(v, inner)}" for k, v in obj.items()]
+                break
+        else:  # every level map: a dict of ordinal text
+            items = [f"{_quote(k)}: {_quote(v)}" for k, v in obj.items()]
+        return f"{{{inner}{(',' + inner).join(items)}{nl}}}"
+    if t is list:
+        if not obj:
+            return "[]"
+        inner = nl + "  "
+        return f"[{inner}{(',' + inner).join([_encode(v, inner) for v in obj])}{nl}]"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if obj is None:
+        return "null"
+    if t is int:
+        return int.__repr__(obj)
+    raise TypeError(f"{t.__name__} is not a JSON type of the CLI")
 
 
 def system_from_json(text: str) -> StabilitySystem:

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from stabforce import system_to_json
+from stabforce import cli, system_to_json
 from stabforce.cli import main
 from stabforce.ordinal import parse_ordinal as O
 from stabforce.poset import chain_to_dict, ChainPresentation
@@ -107,6 +107,13 @@ def test_generic_poset_params(capsys, system_file):
     code, _, err = run_cli(capsys, "generic", system_file,
                            "--kappa", "w^3", "--ell", "1", "--gamma", "7")
     assert code == 1 and "not in P(" in err
+
+
+def test_selftest_prints_each_failure(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_selftest_failures", lambda seed, systems: ["a", 'b "é"'])
+    assert run_cli(capsys, "selftest") == (1, 'FAIL a\nFAIL b "é"\n', "")
+    assert run_cli(capsys, "selftest", "--json") == (
+        1, '{\n  "failures": [\n    "a",\n    "b \\"\\u00e9\\""\n  ],\n  "passed": false\n}\n', "")
 
 
 def test_simulate(capsys, p3_file):

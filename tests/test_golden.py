@@ -17,9 +17,10 @@ from pathlib import Path
 
 import pytest
 
-from stabforce import StabilitySystem, system_to_json
+from stabforce import StabilitySystem, extend_to_chain_limit, system_to_json
 from stabforce.cli import build_parser, main
 from stabforce.ordinal import parse_ordinal as O
+from stabforce.poset import ChainPresentation, chain_to_dict
 from stabforce.simulate import make_pattern, pattern_to_dict
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -30,10 +31,15 @@ PATTERNS = {
     "p1": make_pattern([("w*6", True, [])]),
     "p2": make_pattern([("w*6", True, []), ("w*20", True, [])], [("w*6", "w*20", 1)]),
     "p3": make_pattern([("w*6", True, [1]), ("w*20", True, [])], [("w*6", "w*20", 2)]),
+    # fails A1 (w^2 is a lim2 position, w*7 is too close to w*6), A2 (degree 0)
+    # and A3 (level 2 flagged without level 1)
+    "bad": make_pattern([("w*6", True, []), ("w*7", False, []), ("w^2", True, [2])],
+                        [("w*6", "w^2", 0)]),
 }
+# the ``system_file`` fixture of test_cli: bound w*3+1, level 1 w*2 -> 5
+PSTAR = StabilitySystem(O("w*3+1"), {1: {O("w*2"): O("5")}})
 SYSTEMS = {
-    # the ``system_file`` fixture of test_cli: bound w*3+1, level 1 w*2 -> 5
-    "system": StabilitySystem(O("w*3+1"), {1: {O("w*2"): O("5")}}),
+    "system": PSTAR,
     # V4 at level 1: a below-identity value at the lim2 ordinal w^2
     "v4_level1": StabilitySystem(O("w^2*2+1"), {1: {O("w*2"): O("5"), O("w^2"): O("w*3"),
                                                      O("w^2+w"): O("w^2")}}),
@@ -43,6 +49,12 @@ SYSTEMS = {
         1: {O("w*3"): O("5")},
         2: {O("w^2"): O("w*4"), O("w^2+w*2"): O("w^2+w"), O("w^2*2"): O("w^2+w*5")}}),
 }
+CHAINS = {
+    # the chain of test_cli's infimum test: PSTAR and its level-1 chain-limit
+    # extension, to the target w*5 at level 2
+    "chain": ChainPresentation((PSTAR, extend_to_chain_limit(PSTAR, 1, O("5"))),
+                               O("w*5"), ell=2),
+}
 
 CASES = {
     **{f"simulate_{name}": ["simulate", "--json", f"{name}.json", "--grid", GRID]
@@ -51,6 +63,18 @@ CASES = {
     "validate_v4_level1": ["validate", "--json", "v4_level1.json"],
     "validate_v4_level2": ["validate", "--json", "v4_level2.json"],
     **{f"preds_k{k}": ["preds", "--k", str(k), "w*3", "system.json"] for k in (1, 2, 3)},
+    "rel_json": ["rel", "--json", "--k", "1", "3", "w*3", "system.json"],
+    "preds_json": ["preds", "--json", "--k", "1", "w*3", "system.json"],
+    "extend_json": ["extend", "--json", "--chain-limit", "1", "--target", "5", "system.json"],
+    "extend_text": ["extend", "--to", "w*4", "system.json"],
+    "infimum_json": ["infimum", "--json", "chain.json"],
+    "generic_json": ["generic", "--json", "system.json", "--kappa", "w^3", "--ell", "2",
+                     "--dense", "taller_than:w*5", "--dense", "top_chain_limit:1:5",
+                     "--budget", "16"],
+    "generic_text": ["generic", "system.json", "--kappa", "w^3", "--ell", "2",
+                     "--dense", "taller_than:w*5", "--dense", "top_chain_limit:1:5",
+                     "--budget", "16"],
+    "selftest_json": ["selftest", "--json", "--systems", "20"],
 }
 
 
@@ -60,6 +84,9 @@ def write_inputs(directory: Path) -> None:
                                                 encoding="utf-8")
     for name, system in SYSTEMS.items():
         (directory / f"{name}.json").write_text(system_to_json(system), encoding="utf-8")
+    for name, chain in CHAINS.items():
+        (directory / f"{name}.json").write_text(json.dumps(chain_to_dict(chain)),
+                                                encoding="utf-8")
 
 
 def run_case(directory: Path, argv: list[str]) -> bytes:

@@ -78,6 +78,22 @@ def test_predecessor():
         ZERO.predecessor()
 
 
+@pytest.mark.parametrize("terms", [
+    [(0, 0)], [(1, -2)], [(-1, 1)], [(1, 1), (1, 2)], [(0, 1), (1, 1)], [(2, 1), (3, 4)],
+])
+def test_constructor_rejects_bad_terms(terms):
+    with pytest.raises(ValueError):
+        Ordinal(terms)
+
+
+def _is_checked(a):
+    """``a`` is what the checking constructor makes of its own terms."""
+    b = Ordinal(a.terms)
+    return (a == b and hash(a) == hash(b) and type(a.terms) is tuple
+            and all(type(t) is tuple and tuple(map(type, t)) == (int, int) for t in a.terms)
+            and format_ordinal(a) == format_ordinal(b))
+
+
 # Test-local copies of two helpers the engine no longer needs: ``is_k_lim2``
 # once took the supremum of the limits in every interval of a predecessor set
 # with them.  ``test_stability`` keeps that sweep as a reference.
@@ -176,6 +192,15 @@ def test_roundtrip_property(a):
 @given(_ordinals, _ordinals, _ordinals)
 def test_add_associative(a, b, c):
     assert (a + b) + c == a + (b + c)
+
+
+@given(_ordinals, _ordinals, st.integers(min_value=0, max_value=10**30))
+def test_unchecked_constructions_equal_checked_ones(a, b, n):
+    """``+``, ``predecessor``, ``from_int`` and the parser build their terms
+    without the constructor's checks; each result is the checked ordinal."""
+    results = [a + b, b + a, O(format_ordinal(a)), Ordinal.from_int(n), (a + ONE).predecessor()]
+    assert all(_is_checked(r) for r in results)
+    assert results[4] == a
 
 
 @given(_ordinals, _ordinals)

@@ -235,6 +235,32 @@ def test_out_of_bounds(pstar):
         pred_set(pstar, 1, O("w^2"))
 
 
+def test_out_of_bounds_messages(pstar):
+    text = "+".join(f"w^{e}*9" for e in range(30, 1, -1))
+    brief = f"{text[:24]}... ({len(text)} characters)"
+    long = O(text)
+    for call, shown, bound in [
+            (lambda: lt_k(pstar, 1, O("w*3+1"), O("0")), "w*3+1", "w*3+1"),
+            (lambda: le_k(pstar, 0, O("0"), O("w^2")), "w^2", "w*3+1"),
+            (lambda: pred_set(pstar, 2, O("w*4")), "w*4", "w*3+1"),
+            (lambda: dom_f(pstar, 1, long), brief, "w*3+1"),
+            (lambda: is_k_lim2(StabilitySystem(long), 1, long), brief, brief)]:
+        with pytest.raises(OutOfBoundsError) as exc:
+            call()
+        assert str(exc.value) == f"{shown} is not below the bound {bound}"
+
+
+def test_level_zero_sets_are_not_cached():
+    """``dom_f`` at level 1 and V4 at level 1 read level-0 sets, [0, b); they
+    are built on the spot, never stored."""
+    g = run_construction(_chain_pattern(40)).g
+    q = system_from_json(system_to_json(g))  # link-free: every set is cached on q
+    assert validate(q).valid
+    assert q._pred_cache and all(k >= 1 for k, _ in q._pred_cache)
+    assert is_k_limit(q, 1, O("w*6")) and le_k(q, 0, O("w"), O("w*6"))
+    assert all(k >= 1 for k, _ in q._pred_cache)
+
+
 def test_depth_and_normalization():
     p = StabilitySystem(O("w*3+1"), {1: {O("w*2"): O("5")}, 2: {}})
     assert p.depth == 1  # empty levels carry no data
