@@ -75,6 +75,12 @@ from .stability import (
 
 OK, CHECK_FAILED, INPUT_ERROR, INTERNAL_ERROR, BROKEN_PIPE = 0, 1, 2, 3, 141
 
+# exit 1 with this stderr prefix; matched before the ValueErrors of _INPUT_ERRORS
+_CHECK_FAILURES = {TargetNotReachableError: "target not reachable",
+                   NotDescendingError: "not a descending chain",
+                   BudgetExhaustedError: "budget exhausted",
+                   InvalidConditionError: "check failed",
+                   InvalidIntermediateError: "check failed"}
 _INPUT_ERRORS = (OrdinalSyntaxError, NonCanonicalError, OutOfBoundsError,
                  OutOfRangeError, BadTargetError,
                  json.JSONDecodeError, ValueError, KeyError, OSError,
@@ -168,22 +174,14 @@ def cmd_extend(args) -> int:
     if args.to is not None:
         q = canonical_extend(p, parse_ordinal(args.to))
     else:
-        try:
-            q = extend_to_chain_limit(p, args.chain_limit, parse_ordinal(args.target))
-        except TargetNotReachableError as exc:
-            print(f"target not reachable: {exc}", file=sys.stderr)
-            return CHECK_FAILED
+        q = extend_to_chain_limit(p, args.chain_limit, parse_ordinal(args.target))
     _emit(args.json, lambda: system_to_dict(q), lambda: system_to_json(q))
     return OK
 
 
 def cmd_infimum(args) -> int:
     chain = chain_from_dict(_load_json(args.chain))
-    try:
-        q = chain_infimum(chain)
-    except NotDescendingError as exc:
-        print(f"not a descending chain: {exc}", file=sys.stderr)
-        return CHECK_FAILED
+    q = chain_infimum(chain)
     _emit(args.json, lambda: system_to_dict(q), lambda: system_to_json(q))
     return OK
 
@@ -213,11 +211,7 @@ def cmd_generic(args) -> int:
             print(f"condition is not in P({params.kappa}, {params.ell}, "
                   f"{params.gamma})", file=sys.stderr)
             return CHECK_FAILED
-    try:
-        q, trace = meet_dense(p, dense, args.budget)
-    except BudgetExhaustedError as exc:
-        print(f"budget exhausted: {exc}", file=sys.stderr)
-        return CHECK_FAILED
+    q, trace = meet_dense(p, dense, args.budget)
     member = in_poset(q, params) if params is not None else None
 
     def payload() -> dict:
@@ -247,11 +241,7 @@ def cmd_simulate(args) -> int:
         _emit(args.json, pat_report.to_dict,
               lambda: "\n".join(map(str, pat_report.violations)))
         return CHECK_FAILED
-    try:
-        result = run_construction(pattern)
-    except TargetNotReachableError as exc:
-        print(f"target not reachable: {exc}", file=sys.stderr)
-        return CHECK_FAILED
+    result = run_construction(pattern)
     reqs = check_requirements(result, pattern)
     pairs = check_stable_pairs(result, pattern)
     rep = minimality_report(result, grid) if args.grid else None
@@ -442,8 +432,8 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return BROKEN_PIPE
-    except (InvalidConditionError, InvalidIntermediateError, BudgetExhaustedError) as exc:
-        print(f"check failed: {exc}", file=sys.stderr)
+    except tuple(_CHECK_FAILURES) as exc:
+        print(f"{_CHECK_FAILURES[type(exc)]}: {exc}", file=sys.stderr)
         return CHECK_FAILED
     except _INPUT_ERRORS as exc:
         print(f"input error: {exc}", file=sys.stderr)

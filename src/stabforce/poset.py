@@ -10,7 +10,7 @@ targeted extension places a single exception at a fresh chain-limit top.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .errors import (
     BadTargetError,
@@ -239,16 +239,16 @@ def chain_from_dict(d: Mapping) -> ChainPresentation:
 
 @dataclass(frozen=True)
 class DenseSet:
-    """A named dense family: an acceptance predicate plus an optional refiner.
+    """A named dense family: an acceptance predicate plus its refiner.
 
     ``refine`` produces some extension of its argument that the predicate
-    accepts; it may fail (raise or return None), which the engine treats as a
-    legitimate outcome to retry within budget, not as an error.
+    accepts, or fails: raises TargetNotReachableError or OutOfRangeError, or
+    returns None.  It is caller code, so ``meet_dense`` checks its result.
     """
 
     name: str
     accepts: Callable[[StabilitySystem], bool]
-    refine: Callable[[StabilitySystem], StabilitySystem] | None = None
+    refine: Callable[[StabilitySystem], StabilitySystem | None]
 
 
 def taller_than(alpha: Ordinal) -> DenseSet:
@@ -277,26 +277,30 @@ def top_chain_limit(ell: int, target: Ordinal) -> DenseSet:
                     accepts=_accepts, refine=_refine)
 
 
-def meet_dense(p: StabilitySystem, dense: Sequence[DenseSet], budget: int,
-               extra_values: Iterable[Ordinal] = ()) -> tuple[StabilitySystem, tuple[tuple[str, StabilitySystem], ...]]:
+def meet_dense(p: StabilitySystem, dense: Sequence[DenseSet],
+               budget: int) -> tuple[StabilitySystem, tuple[tuple[str, StabilitySystem], ...]]:
     """Descend below p meeting every dense set, within a refinement budget.
 
-    Round-robin over the unsatisfied sets: use the set's own refiner when it
-    has one, otherwise search one canonical step plus single-exception
-    placements at the new top (values 0, the existing exception values, and
-    any caller-designated ordinals).  Returns the final condition and the
-    descending trace of (step label, condition) pairs, reusable as a chain.
-    Raises BudgetExhaustedError if some set stays unmet.
+    Each round spends one unit on the first unmet set: the refiner's result,
+    checked to extend the current condition, or one canonical step to the
+    next fresh limit when the refiner fails.  Returns the final condition and
+    the descending trace of (step label, condition) pairs, reusable as a
+    chain.  Raises BudgetExhaustedError if some set stays unmet.
+
+    A failed refiner leaves nothing to search for.  ``taller_than``'s refiner
+    never fails.  Of the single exceptions at p.top + w with value 0 or an
+    existing exception value, ``top_chain_limit(ell, target)`` accepts only
+    ``extend_with_top_exception(p, p.top + w, ell + 1, target)``: just what
+    the failed ``extend_to_chain_limit`` built, or, with target above p.top,
+    none, since V3 keeps those values at or below p.top.  The canonical step
+    carries no exception at its top, so the failed set cannot accept it.
     """
     _require_valid(p)
     current = p
     trace: list[tuple[str, StabilitySystem]] = [("start", p)]
     remaining = list(dense)
     spent = 0
-    for d in list(remaining):
-        if d.accepts(current):
-            remaining.remove(d)
-    while remaining:
+    while remaining := [d for d in remaining if not d.accepts(current)]:
         if spent >= budget:
             raise BudgetExhaustedError(
                 f"budget {budget} exhausted with unmet dense sets: "
@@ -304,50 +308,17 @@ def meet_dense(p: StabilitySystem, dense: Sequence[DenseSet], budget: int,
                 trace=[s for _, s in trace])
         d = remaining[0]
         spent += 1
-        candidate: StabilitySystem | None = None
-        if d.refine is not None:
-            try:
-                candidate = d.refine(current)
-            except (TargetNotReachableError, OutOfRangeError):
-                candidate = None
+        try:
+            candidate = d.refine(current)
+        except (TargetNotReachableError, OutOfRangeError):
+            candidate = None
         if candidate is None:
-            candidate = _search_step(current, d, extra_values)
-        if candidate is not None and candidate != current:
+            current = canonical_extend(current, current.top + OMEGA)
+            trace.append((f"{d.name}: step", current))
+        elif candidate != current:
             if not extends(candidate, current, 1):
                 raise InvalidIntermediateError(
                     f"refinement for {d.name} does not extend the current condition")
             current = candidate
             trace.append((d.name, current))
-        elif candidate is None:
-            # keep the chain moving so later retries see a taller condition
-            current = canonical_extend(current, current.top + OMEGA)
-            trace.append((f"{d.name}: step", current))
-        for met in list(remaining):
-            if met.accepts(current):
-                remaining.remove(met)
     return current, tuple(trace)
-
-
-def _search_step(p: StabilitySystem, d: DenseSet,
-                 extra_values: Iterable[Ordinal]) -> StabilitySystem | None:
-    lam = p.top + OMEGA
-    taller = canonical_extend(p, lam)
-    if d.accepts(taller):
-        return taller
-    values = [Ordinal()]
-    for _, entries in p.levels:
-        values.extend(v for _, v in entries)
-    values.extend(extra_values)
-    seen: set[Ordinal] = set()
-    for value in values:
-        if value in seen or not value < lam:
-            continue
-        seen.add(value)
-        for level in range(1, p.depth + 2):
-            try:
-                q = extend_with_top_exception(p, lam, level, value)
-            except (TargetNotReachableError, OutOfRangeError, InvalidIntermediateError):
-                continue
-            if d.accepts(q):
-                return q
-    return None

@@ -32,7 +32,6 @@ from .stability import (
     le_k,
     lt_k,
     system_to_dict,
-    validate,
 )
 
 MIN_GAP = Ordinal(((1, 2),))  # w*2
@@ -228,8 +227,9 @@ def run_construction(pattern: StabilityPattern) -> SimulationResult:
     At each point: extend canonically to the position and pin its level-ell
     map to gamma (the alpha-value of the largest declared stable club
     predecessor at level ell, 0 for none); then extend to the fresh chain
-    limit one w above, recording the same value one level up.  Every
-    intermediate system is validated and every step is extends-verified.
+    limit one w above, recording the same value one level up.  Each new
+    system is validated by ``extend_with_top_exception``; the chain step's
+    extension is asserted by ``extend_to_chain_limit``, the pin step's here.
     """
     report = validate_pattern(pattern)
     if not report.passed:
@@ -244,27 +244,18 @@ def run_construction(pattern: StabilityPattern) -> SimulationResult:
         a = assignments[pt.pos]
         gamma = alpha_of[a.sup_stable[a.ell]]
         g1 = extend_with_top_exception(g, pt.pos, a.ell, gamma)
-        _verify_step(g1, g, a.ell)
+        if not extends(g1, g, a.ell):
+            raise InvalidIntermediateError(
+                f"step to top {g1.top} does not extend its predecessor at level {a.ell}")
         trace.append(TraceStep(f"pin level {a.ell} at {pt.pos} to {gamma}", g1, a.ell))
         g2 = extend_to_chain_limit(g1, a.ell, gamma)
-        _verify_step(g2, g1, a.ell + 1)
         alpha = g2.top
         trace.append(TraceStep(
             f"chain limit {alpha}: level {a.ell + 1} value {gamma}", g2, a.ell + 1))
         alpha_of[pt.pos] = alpha
         outcomes.append(PointOutcome(pos=pt.pos, ell=a.ell, gamma=gamma, alpha=alpha))
         g = g2
-    for o, pt in zip(outcomes, pattern.points[1:]):
-        assert o.pos < o.alpha < pt.pos
     return SimulationResult(g=g, per_point=tuple(outcomes), trace=tuple(trace))
-
-
-def _verify_step(new: StabilitySystem, old: StabilitySystem, level: int) -> None:
-    if not validate(new).valid:
-        raise InvalidIntermediateError(f"intermediate system invalid at top {new.top}")
-    if not extends(new, old, level):
-        raise InvalidIntermediateError(
-            f"step to top {new.top} does not extend its predecessor at level {level}")
 
 
 def check_requirements(result: SimulationResult, pattern: StabilityPattern) -> CheckReport:
@@ -379,13 +370,13 @@ class MinimalityReport:
 def minimality_report(result: SimulationResult, grid: Iterable[Ordinal]) -> MinimalityReport:
     """Evaluate the "below infinity" analogue at a fresh top above the system.
 
-    Theta is the first fresh limit above the final top and the system is
-    extended canonically to it.  A grid point survives level k when it sits
-    below theta in the level-k order; the blocking witness is the lowest-level
-    exception that kills it.  Survivors are reported only within the settled
-    region (at most the last exception key): the canonical tail above the keys
-    cannot be blocked by a finite truncation, so survival out there carries no
-    information.
+    Theta is the first fresh limit above the final top and the grid, and the
+    system is extended canonically to it.  A grid point survives level k when
+    it sits below theta in the level-k order; the blocking witness is the
+    lowest-level exception that kills it.  Survivors are reported only within
+    the settled region (at most the last exception key): the canonical tail
+    above the keys cannot be blocked by a finite truncation, so survival out
+    there carries no information.
     """
     g = result.g
     pts = sorted(set(grid), key=lambda a: a.terms)
@@ -396,8 +387,6 @@ def minimality_report(result: SimulationResult, grid: Iterable[Ordinal]) -> Mini
     fates: list[PointFate] = []
     survivors: list[Ordinal] = []
     for alpha in pts:
-        if not alpha < theta:
-            raise InvalidConditionError(f"grid point {alpha} is not below theta {theta}")
         blocked = _blocking_witness(ghat, alpha, theta)
         settled = last_key is not None and alpha <= last_key
         fates.append(PointFate(alpha=alpha, settled=settled, blocked_at=blocked))

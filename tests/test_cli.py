@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from stabforce import cli, system_to_json
+from stabforce import StabilitySystem, cli, system_to_json
 from stabforce.cli import main
 from stabforce.ordinal import parse_ordinal as O
 from stabforce.poset import chain_to_dict, ChainPresentation
@@ -298,3 +298,48 @@ def test_closed_stdout_is_not_an_input_error(p3_file):
     finally:
         os.close(write_end)
     assert (res.returncode, res.stderr) == (141, b"")
+
+
+# -- exit paths: a failed check is exit 1 with its prefix, bad input exit 2 -------
+
+
+def test_simulate_target_not_reachable(capsys, tmp_path):
+    path = tmp_path / "unreachable.json"
+    path.write_text(json.dumps({
+        "points": [{"pos": "w*6", "inC": True, "cofinalLevels": [1]},
+                   {"pos": "w*10", "inC": False, "cofinalLevels": []},
+                   {"pos": "w*13", "inC": True, "cofinalLevels": []}],
+        "st": [["w*6", "w*13", 1]]}), encoding="utf-8")
+    assert run_cli(capsys, "simulate", str(path)) == (
+        1, "", "target not reachable: w*7 does not sit below w*13 in the level-1 order\n")
+
+
+def test_extend_target_not_reachable_message(capsys, system_file):
+    assert run_cli(capsys, "extend", "--chain-limit", "1", "--target", "7",
+                   system_file) == (
+        1, "", "target not reachable: 7 does not sit below w*4 in the level-2 order\n")
+
+
+def test_infimum_of_a_rewriting_chain(capsys, tmp_path, pstar):
+    rewrite = StabilitySystem(O("w*4+1"), {1: {O("w*2"): O("4")}})
+    path = tmp_path / "rewrite.json"
+    path.write_text(json.dumps(chain_to_dict(
+        ChainPresentation((pstar, rewrite), O("w*5")))), encoding="utf-8")
+    assert run_cli(capsys, "infimum", str(path)) == (
+        1, "", "not a descending chain: condition with top w*4 does not extend "
+               "the one with top w*3\n")
+
+
+def test_generic_poset_params_need_kappa(capsys, system_file):
+    assert run_cli(capsys, "generic", "--gamma", "0", system_file) == (
+        2, "", "poset membership checks need --kappa\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["rel", "--k", "0", "1", "w"],
+    ["preds", "--k", "0", "w"],
+    ["export-dot", "--k", "0"],
+])
+def test_level_zero_is_an_input_error(capsys, system_file, argv):
+    assert run_cli(capsys, *argv, system_file) == (
+        2, "", "input error: level must be >= 1\n")

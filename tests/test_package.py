@@ -1,3 +1,5 @@
+import ast
+import pathlib
 import types
 
 import stabforce
@@ -17,3 +19,22 @@ def test_star_import_gives_exactly_all():
     namespace = {}
     exec("from stabforce import *", namespace)
     assert set(namespace) - {"__builtins__"} == set(stabforce.__all__)
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    package = pathlib.Path(stabforce.__file__).parent
+    unused = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and \
+                    getattr(node, "module", None) != "__future__":
+                for alias in node.names:
+                    imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
+                   if name not in used]
+    assert unused == []

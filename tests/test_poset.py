@@ -23,12 +23,15 @@ from stabforce import (
 from stabforce.errors import (
     BadTargetError,
     BudgetExhaustedError,
+    InvalidIntermediateError,
     NotDescendingError,
     OutOfRangeError,
     TargetNotReachableError,
 )
 from stabforce.gen import random_chain, random_step, random_system, random_tower
+from stabforce.ordinal import OMEGA, Ordinal
 from stabforce.ordinal import parse_ordinal as O
+from stabforce.poset import _require_valid, extend_with_top_exception
 
 
 def test_poset_params_invariants():
@@ -204,3 +207,103 @@ def test_chain_limit_top_is_fresh_limit():
             lam = q.top
             assert lam == p.top + O("w")
             assert dom_f(q, level, lam)
+
+
+# -- meet_dense against the engine with a search fallback ---------------------------
+
+
+def _reference_meet_dense(p, dense, budget):
+    """Reference engine with a search fallback: when a refiner fails, try one
+    canonical step, then a single exception at the new top with value 0 or an
+    existing exception value, at every level up to depth + 1."""
+    _require_valid(p)
+    current = p
+    trace = [("start", p)]
+    remaining = list(dense)
+    spent = 0
+    for d in list(remaining):
+        if d.accepts(current):
+            remaining.remove(d)
+    while remaining:
+        if spent >= budget:
+            raise BudgetExhaustedError(
+                f"budget {budget} exhausted with unmet dense sets: "
+                + ", ".join(d.name for d in remaining),
+                trace=[s for _, s in trace])
+        d = remaining[0]
+        spent += 1
+        try:
+            candidate = d.refine(current)
+        except (TargetNotReachableError, OutOfRangeError):
+            candidate = None
+        if candidate is None:
+            candidate = _reference_search_step(current, d)
+        if candidate is not None and candidate != current:
+            if not extends(candidate, current, 1):
+                raise InvalidIntermediateError(
+                    f"refinement for {d.name} does not extend the current condition")
+            current = candidate
+            trace.append((d.name, current))
+        elif candidate is None:
+            current = canonical_extend(current, current.top + OMEGA)
+            trace.append((f"{d.name}: step", current))
+        for met in list(remaining):
+            if met.accepts(current):
+                remaining.remove(met)
+    return current, tuple(trace)
+
+
+def _reference_search_step(p, d):
+    lam = p.top + OMEGA
+    taller = canonical_extend(p, lam)
+    if d.accepts(taller):
+        return taller
+    values = [Ordinal()]
+    for _, entries in p.levels:
+        values.extend(v for _, v in entries)
+    seen = set()
+    for value in values:
+        if value in seen or not value < lam:
+            continue
+        seen.add(value)
+        for level in range(1, p.depth + 2):
+            try:
+                q = extend_with_top_exception(p, lam, level, value)
+            except (TargetNotReachableError, OutOfRangeError, InvalidIntermediateError):
+                continue
+            if d.accepts(q):
+                return q
+    return None
+
+
+def _random_dense_sets(rng, p):
+    values = [O("0"), O("1"), O("5"), p.top, p.top + O("3"), p.top + O("w*2")]
+    values += [v for _, entries in p.levels for key, v in entries]
+    values += [key for _, entries in p.levels for key, v in entries]
+    dense = []
+    for _ in range(rng.randrange(1, 4)):
+        if rng.random() < 0.4:
+            dense.append(taller_than(rng.choice([p.top + Ordinal(((1, rng.randrange(1, 4)),)),
+                                                 *values])))
+        else:
+            dense.append(top_chain_limit(rng.randrange(1, 4), rng.choice(values)))
+    return dense
+
+
+def _outcome(engine, p, dense):
+    try:
+        return engine(p, dense, 6)
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "trace", None)
+
+
+def test_meet_dense_equals_the_search_fallback_engine():
+    rng = random.Random(2718)
+    raised = 0
+    for _ in range(320):
+        p = random_system(rng)
+        dense = _random_dense_sets(rng, p)
+        got = _outcome(meet_dense, p, dense)
+        assert got == _outcome(_reference_meet_dense, p, dense), [d.name for d in dense]
+        raised += isinstance(got[0], type)
+    assert 0 < raised < 320

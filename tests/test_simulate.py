@@ -273,6 +273,21 @@ def test_check_stable_pairs_detects_violation(pattern_p2):
     assert not rep.passed
 
 
+@pytest.mark.parametrize("flags", [[], [1]])
+def test_check_stable_pairs_level_three_needs_flag_one(flags):
+    # above level 2 a pair is checked only where the later point carries the
+    # cofinality flag k - 2; a level-3 failure is reported only with flag 1
+    pattern = make_pattern([("w*6", True, [1, 2]), ("w*20", True, flags)],
+                           [("w*6", "w*20", 3)])
+    r = run_construction(pattern)
+    assert check_stable_pairs(r, pattern).passed
+    tampered = dataclasses.replace(r, g=r.g.with_exception(3, O("w*7"), O("0")))
+    assert not le_k(tampered.g, 3, O("w*6"), O("w*7"))
+    rep = check_stable_pairs(tampered, pattern)
+    assert [(v.check, v.level, v.message) for v in rep.violations] == (
+        [("pair-order", 3, "w*6 not at-or-below w*7")] if flags else [])
+
+
 # -- minimality analogue ---------------------------------------------------------------
 
 

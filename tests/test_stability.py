@@ -250,6 +250,10 @@ def test_out_of_bounds_messages(pstar):
         assert str(exc.value) == f"{shown} is not below the bound {bound}"
 
 
+def test_negative_level_is_rejected(pstar):
+    with pytest.raises(ValueError, match="^level must be >= 0$"):
+        le_k(pstar, -1, O("1"), O("2"))
+
 def test_level_zero_sets_are_not_cached():
     """``dom_f`` at level 1 and V4 at level 1 read level-0 sets, [0, b); they
     are built on the spot, never stored."""
