@@ -167,10 +167,10 @@ def cmd_preds(args) -> int:
 
 
 def cmd_extend(args) -> int:
+    if (args.to is None) == (args.chain_limit is None) or \
+            (args.chain_limit is not None and args.target is None):
+        raise ValueError("extend needs either --to, or --chain-limit with --target")
     p = _load_system(args.system)
-    if not p.is_valid:
-        print("input system is not valid", file=sys.stderr)
-        return CHECK_FAILED
     if args.to is not None:
         q = canonical_extend(p, parse_ordinal(args.to))
     else:
@@ -202,8 +202,7 @@ def cmd_generic(args) -> int:
     params = None
     if any(v is not None for v in (args.kappa, args.ell, args.gamma)):
         if args.kappa is None:
-            print("poset membership checks need --kappa", file=sys.stderr)
-            return INPUT_ERROR
+            raise ValueError("poset membership checks need --kappa")
         params = PosetParams(kappa=parse_ordinal(args.kappa),
                              ell=args.ell if args.ell is not None else 1,
                              gamma=parse_ordinal(args.gamma or "0"))
@@ -414,13 +413,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "extend":
-        have_to = args.to is not None
-        have_cl = args.chain_limit is not None
-        if have_to == have_cl or (have_cl and args.target is None):
-            print("extend needs either --to, or --chain-limit with --target",
-                  file=sys.stderr)
-            return INPUT_ERROR
     try:
         code = args.fn(args)
         sys.stdout.flush()

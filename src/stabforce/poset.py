@@ -86,8 +86,7 @@ def extends(q: StabilitySystem, p: StabilitySystem, ell: int) -> bool:
     return le_k(q, ell - 1, p.top, q.top)
 
 
-def canonical_extend(p: StabilitySystem, alpha: Ordinal,
-                     params: PosetParams | None = None) -> StabilitySystem:
+def canonical_extend(p: StabilitySystem, alpha: Ordinal) -> StabilitySystem:
     """Extend p to top alpha giving every new limit point its default value.
 
     The stretch above the old top carries no exceptions, so the result is
@@ -96,8 +95,6 @@ def canonical_extend(p: StabilitySystem, alpha: Ordinal,
     _require_valid(p)
     if not alpha >= p.top:
         raise OutOfRangeError(f"target {alpha} is below the current top {p.top}")
-    if params is not None and not alpha < params.kappa:
-        raise OutOfRangeError(f"target {alpha} is not below kappa {params.kappa}")
     if alpha == p.top:
         return p
     return p.with_bound(alpha + Ordinal.from_int(1))

@@ -18,13 +18,13 @@ from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .errors import InvalidConditionError, InvalidIntermediateError
-from .ordinal import OMEGA, ZERO, Ordinal, format_ordinal, parse_ordinal
+from .ordinal import OMEGA, ZERO, IntervalSet, Ordinal, format_ordinal, parse_ordinal
 from .poset import canonical_extend, extend_to_chain_limit, extend_with_top_exception, extends
 from .stability import (
     CheckReport,
     StabilitySystem,
     Violation,
-    _constrains,
+    _compiled,
     _pred,
     disagreeing_levels,
     dom_f,
@@ -372,11 +372,15 @@ def minimality_report(result: SimulationResult, grid: Iterable[Ordinal]) -> Mini
 
     Theta is the first fresh limit above the final top and the grid, and the
     system is extended canonically to it.  A grid point survives level k when
-    it sits below theta in the level-k order; the blocking witness is the
-    lowest-level exception that kills it.  Survivors are reported only within
-    the settled region (at most the last exception key): the canonical tail
-    above the keys cannot be blocked by a finite truncation, so survival out
-    there carries no information.
+    it sits below theta in the level-k order, that is, when it is in
+    ``P_k(theta)``, the level-k predecessor set of theta.  These sets shrink
+    as k grows, so a point's blocking level is the least k whose set misses
+    it, and the survivors are exactly the grid points in ``P_depth(theta)``:
+    one predecessor set per level decides every point.  The blocking witness
+    is the least key that kills the point at that level.  Survivors are
+    reported only within the settled region (at most the last exception
+    key): the canonical tail above the keys cannot be blocked by a finite
+    truncation, so survival out there carries no information.
     """
     g = result.g
     pts = sorted(set(grid), key=lambda a: a.terms)
@@ -384,29 +388,30 @@ def minimality_report(result: SimulationResult, grid: Iterable[Ordinal]) -> Mini
     theta = roof + OMEGA
     ghat = canonical_extend(g, theta)
     last_key = g.max_key()
+    sets = [_pred(ghat, k, theta) for k in range(ghat.depth + 1)]
     fates: list[PointFate] = []
-    survivors: list[Ordinal] = []
     for alpha in pts:
-        blocked = _blocking_witness(ghat, alpha, theta)
+        k = next((k for k in range(1, len(sets)) if not sets[k].member(alpha)), None)
+        blocked = None if k is None else _blocking_witness(ghat, k, alpha, sets[k - 1])
         settled = last_key is not None and alpha <= last_key
         fates.append(PointFate(alpha=alpha, settled=settled, blocked_at=blocked))
-        if blocked is None and settled:
-            survivors.append(alpha)
+    survivors = tuple(f.alpha for f in fates if f.settled and sets[-1].member(f.alpha))
     return MinimalityReport(theta=theta, last_key=last_key,
-                            fates=tuple(fates), survivors=tuple(survivors))
+                            fates=tuple(fates), survivors=survivors)
 
 
-def _blocking_witness(g: StabilitySystem, alpha: Ordinal,
-                      theta: Ordinal) -> tuple[int, Ordinal, Ordinal] | None:
-    for k in range(1, g.depth + 1):
-        if lt_k(g, k, alpha, theta):
-            continue
-        below = _pred(g, k - 1, theta)
-        for key, value in g.entries_at(k):
-            if alpha < key <= theta and value < alpha and _constrains(g, k, key, theta, below):
-                return (k, key, value)
-        return (k, theta, theta)  # unreachable for well-formed systems
-    return None
+def _blocking_witness(g: StabilitySystem, k: int, alpha: Ordinal,
+                      below: IntervalSet) -> tuple[int, Ordinal, Ordinal]:
+    """(k, key, value) for the least level-k key that keeps alpha out of
+    ``P_k(theta)``, given alpha in ``below`` = ``P_{k-1}(theta)``.
+
+    One always exists: by the definition of the order, such an alpha has a
+    level-k key g in (alpha, theta] valued below alpha that constrains theta.
+    All keys of g lie below theta, so that is: g binds and is in ``below``.
+    """
+    entries, _, binds, _, _ = _compiled(g)[k]
+    return next((k, key, value) for (key, value), bind in zip(entries, binds)
+                if bind and alpha < key and value < alpha and below.member(key))
 
 
 # -- JSON ------------------------------------------------------------------------

@@ -21,9 +21,10 @@ the a with a <_k b, and every order query is membership in it.  Every level
 order is a tree order, for valid and invalid systems alike, so the level-k
 keys that constrain b are those that constrain its nearest constraining key
 g*, plus b itself.  Each level's set is therefore g*'s set, joined with the
-slice of the level-(k-1) set from g* to b and cut by b's own value.  Levels
-are computed bottom-up in a loop and cached per (level, point); ``_pred``
-holds the proof.
+slice of the level-(k-1) set from g* to b and cut by b's own value.  Each
+level's keys are compiled once per system, in ascending order, into their
+own sets; a query then takes one bisection per level and either a stored set
+or that one step, memoized per (level, point).  ``_pred`` holds the proof.
 """
 
 from __future__ import annotations
@@ -68,21 +69,19 @@ class StabilitySystem:
     A system made by ``with_bound`` or ``with_exception`` keeps a private link
     ``_base`` to an end-extension base: a system on its chain whose keys all
     lie below its own bound and whose exceptions it repeats below that bound.
-    Every derived fact at points below the base's bound is decided by those
-    exceptions, so queries there are answered, and memoized, by the base, and
-    ``validate`` re-checks only the keys at or above it.  Derived-order caches
-    and validation reports are thereby shared along end-extensions; they are
-    semantically invisible, and the link takes no part in equality.
+    The base's keys are therefore the first of its own at every level, so its
+    compiled levels (see ``_compiled``) extend the base's, sharing every level
+    that gains no key, and ``validate`` re-checks only the keys at or above
+    the base's bound.  The link is semantically invisible and takes no part in
+    equality.
 
     Such a system is also built from its parent's normalized parts: it shares
     every level tuple and every entry it does not change, so an extension
-    costs only its new key.  ``_jump`` is a skew-binary jump pointer along the
-    ``_base`` links and ``_depth`` the number of links to the chain's root;
-    together they let ``_owner`` find a point's owner in logarithmic time.
+    costs only its new key.
     """
 
-    __slots__ = ("bound", "levels", "_hash", "_top", "_pred_cache", "_report",
-                 "_base", "_jump", "_depth", "__weakref__")
+    __slots__ = ("bound", "levels", "_hash", "_top", "_memo", "_compiled", "_report",
+                 "_base", "__weakref__")
 
     def __init__(self, bound: Ordinal, exceptions: Mapping[int, Mapping[Ordinal, Ordinal]] | None = None):
         if not isinstance(bound, Ordinal):
@@ -104,20 +103,10 @@ class StabilitySystem:
         self.levels = levels
         self._hash = None
         self._top = None
-        self._pred_cache: dict = {}
+        self._memo: dict = {}
+        self._compiled: dict | None = None
         self._report: ValidationReport | None = None
         self._base = base
-        if base is None:
-            self._jump, self._depth = None, 0
-        else:
-            # skew-binary rule: skip two equal jumps at once, else step one link
-            j = base._jump
-            if j is not None and j._jump is not None and \
-                    base._depth - j._depth == j._depth - j._jump._depth:
-                self._jump = j._jump
-            else:
-                self._jump = base
-            self._depth = base._depth + 1
 
     @classmethod
     def _derived(cls, bound: Ordinal, levels: Levels,
@@ -187,9 +176,11 @@ class StabilitySystem:
         system's exceptions below that system's bound.  Only self can fail the
         key clause: links are made only to systems that pass it.
         """
-        if cut < self.bound:
-            return _owner(self, cut)._base
-        return self if self._keys_below_bound() else self._base
+        t = cut.terms
+        node = self
+        while node is not None and t < node.bound.terms:
+            node = node._base
+        return node if node is not self or self._keys_below_bound() else self._base
 
     def _keys_below_bound(self) -> bool:
         top_key = self.max_key()
@@ -312,23 +303,6 @@ def lt_k(p: StabilitySystem, k: int, alpha: Ordinal, beta: Ordinal) -> bool:
     return _lt(p, k, alpha, beta)
 
 
-def _owner(p: StabilitySystem, beta: Ordinal) -> StabilitySystem:
-    """The oldest system on p's end-extension chain whose bound exceeds beta,
-    given that p's does.
-
-    It repeats p's exceptions at and below beta, so it decides, and caches,
-    every derived fact whose upper point is beta.  Bounds never increase down
-    the chain, so a jump whose target's bound still exceeds beta skips only
-    systems that do too.
-    """
-    t = beta.terms
-    base = p._base
-    while base is not None and t < base.bound.terms:
-        p = p._jump if t < p._jump.bound.terms else base
-        base = p._base
-    return p
-
-
 def _lt(p: StabilitySystem, k: int, alpha: Ordinal, beta: Ordinal) -> bool:
     return alpha.terms < beta.terms and _pred(p, k, beta).member(alpha)
 
@@ -348,7 +322,7 @@ def pred_set(p: StabilitySystem, k: int, beta: Ordinal) -> IntervalSet:
 
     The only place exception keys are scanned; ``lt_k``, ``le_k`` and
     ``dom_f`` read their answers off it.  Levels are walked bottom-up in a
-    loop and each level's set is cached per (level, point).
+    loop and each level's set is memoized per (level, point).
     """
     _require_args(p, k, beta)
     return _pred(p, k, beta)
@@ -356,8 +330,8 @@ def pred_set(p: StabilitySystem, k: int, beta: Ordinal) -> IntervalSet:
 
 def _pred(p: StabilitySystem, k: int, beta: Ordinal) -> IntervalSet:
     """pred_set without the argument checks; level 0 gives [0, beta), which is
-    not cached.  Levels above the owner's ``depth`` carry no keys, so k is
-    clamped to it exactly.
+    not memoized.  Levels above p's ``depth`` carry no keys, so k is clamped
+    to it exactly.
 
     Write ``P_j(b)`` for the set { a < b : a <_j b } and ``C_j(b)`` for the
     level-j keys g <= b that constrain b: g is a level-j domain point,
@@ -401,34 +375,42 @@ def _pred(p: StabilitySystem, k: int, beta: Ordinal) -> IntervalSet:
     domain, d being its largest predecessor), so it is no level limit.  Thus
     ``P_j(g*)`` ends at v_{g*} + 1 < g*, and the union stays normalized.
 
-    The same identities make ``C_j(g*)``, read off ``P_{j-1}(b)``, the rest
-    of ``C_j(b)``.  So ``_level_step`` walks the level-j keys down from b to
-    g*.  When ``P_j(g*)`` is not cached, ``_descend`` computes it by
-    continuing the walk in a loop: a point in [g, g') between consecutive
-    keys of ``C_j(g*)`` passes iff it is in ``P_{j-1}(b)`` and below the
-    least cap of the keys above it.  The walk ends at the first key whose
-    set is cached, and the result is cached at g*'s owner.  Nothing recurses
-    along the chain of keys: only the domain check in ``_constrains``
-    recurses, one level down.  So the stack grows with the number of levels
-    that carry keys, never with the length of a chain or with a level
-    number.
+    The compile pass.  Whether a key g binds (is a level-j domain point
+    valued below itself) depends on g alone, and a binding g < b is in
+    ``C_j(b)`` iff it is in ``P_{j-1}(b)``.  So g* is the first such key
+    below b, walking down, and ``_step`` is the recurrence.  ``_compiled``
+    takes that step once per key, in ascending order, and keeps the key's
+    sets at its level and the one below; a query reads one of those, or
+    takes a stored set or one step per level.  Nothing recurses: the compile
+    pass asks ``_pred`` only for a lower level, and ``_pred`` only loops, so
+    the stack never grows with the number of keys, a chain or a level.
     """
     if k == 0:
         return _segment(beta)
-    p = _owner(p, beta)
+    levels = p._compiled or _compiled(p)  # an empty dict is compiled too, and cheap
     k = min(k, p.depth)
-    cache = p._pred_cache
-    result = cache.get((k, beta))
+    memo = p._memo
+    result = memo.get((k, beta))
     if result is not None:
         return result
+    t = beta.terms
+    up = levels.get(k + 1)  # a level-(k+1) key holds its level-k set
+    i = bisect_left(up[1], t) if up else 0
+    if up and i < len(up[1]) and up[1][i] == t:
+        return up[4][i]
     result = _segment(beta)
-    for j, entries in p.levels:
+    for j, (entries, terms, binds, sets, _) in levels.items():
         if j > k:
             break
-        below, result = result, cache.get((j, beta))
+        below, result = result, memo.get((j, beta))
         if result is None:
-            result = cache[(j, beta)] = _level_step(p, j, entries, beta, below)
-    cache[(k, beta)] = result
+            i = bisect_left(terms, t)
+            if i < len(terms) and terms[i] == t:
+                result = sets[i]
+            else:
+                result = _step(entries, binds, sets, i, below, beta)
+            memo[(j, beta)] = result
+    memo[(k, beta)] = result
     return result
 
 
@@ -437,52 +419,51 @@ def _segment(beta: Ordinal) -> IntervalSet:
     return IntervalSet._normalized((OrdinalInterval(ZERO, beta),) if beta.terms else ())
 
 
-def _level_step(p: StabilitySystem, j: int, entries: Entries, beta: Ordinal,
-                below: IntervalSet) -> IntervalSet:
-    """P_j(beta) from ``below`` = P_{j-1}(beta) by ``_pred``'s recurrence."""
-    t = beta.terms
-    i = bisect_left(entries, t, key=_entry_key)
-    cap = beta
-    if i < len(entries) and entries[i][0].terms == t:
-        v = entries[i][1]
-        if v.terms < t and _constrains(p, j, beta, beta, below):
-            cap = v + ONE
+def _compiled(p: StabilitySystem) -> dict:
+    """p's levels, each compiled in one ascending pass: level j maps to
+    ``(entries, terms, binds, sets, belows)``, holding per key its CNF terms,
+    whether it binds (is a level-j domain point valued below itself), its
+    ``P_j`` and its ``P_{j-1}``.
+
+    A key's set depends only on the keys at or below it, so a linked system
+    extends its base's arrays by its new keys, and shares a level that gains
+    none.  The links are walked in a loop, oldest system first.
+    """
+    pending: list[StabilitySystem] = []
+    node: StabilitySystem | None = p
+    while node is not None and node._compiled is None:
+        pending.append(node)
+        node = node._base
+    for node in reversed(pending):
+        base = node._base._compiled if node._base is not None else {}
+        node._compiled = levels = {}
+        for j, entries in node.levels:
+            old = base.get(j) or ((), [], [], [], [])
+            if len(old[0]) == len(entries):
+                levels[j] = old
+                continue
+            terms, binds, sets, belows = old[1][:], old[2][:], old[3][:], old[4][:]
+            for g, v in entries[len(terms):]:
+                below = _pred(node, j - 1, g)
+                bind = v.terms < g.terms and _is_limit(node, j - 1, g)
+                sets.append(_step(entries, binds, sets, len(terms), below,
+                                  v + ONE if bind else g))
+                terms.append(g.terms)
+                binds.append(bind)
+                belows.append(below)
+            levels[j] = (entries, terms, binds, sets, belows)
+    return p._compiled
+
+
+def _step(entries: Entries, binds: list[bool], sets: list[IntervalSet], i: int,
+          below: IntervalSet, cap: Ordinal) -> IntervalSet:
+    """P_j(b) by ``_pred``'s recurrence, for a point b above the first i keys
+    of its level, from ``below`` = P_{j-1}(b) and b's cap: v_b + 1 when b
+    binds, else b."""
     for i in range(i - 1, -1, -1):
-        g, v = entries[i]
-        if v.terms < g.terms and _constrains(p, j, g, beta, below):
-            cache = _owner(p, g)._pred_cache
-            head = cache.get((j, g))
-            if head is None:
-                head = cache[(j, g)] = _descend(p, j, entries, i, below)
-            return _join(head, below, g, cap)
+        if binds[i] and below.member(entries[i][0]):
+            return _join(sets[i], below, entries[i][0], cap)
     return _join(None, below, ZERO, cap)
-
-
-def _descend(p: StabilitySystem, j: int, entries: Entries, i: int,
-             below: IntervalSet) -> IntervalSet:
-    """P_j(g) for the constraining key g = entries[i], from the level-(j-1)
-    set ``below`` of a point whose chain g lies on: one walk down the keys
-    below g with the running minimum of the caps of the constraining ones,
-    ending at the first whose set is cached."""
-    top, v = entries[i]
-    cap, upper, head, lo = v + ONE, top, None, ZERO
-    pieces: list[list[OrdinalInterval]] = []  # from the top down
-    for i in range(i - 1, -1, -1):
-        g, v = entries[i]
-        if v.terms < g.terms and _constrains(p, j, g, top, below):
-            if g.terms < cap.terms:
-                pieces.append(_slice(below.intervals, g, min(upper, cap)))
-            upper = g
-            head = _owner(p, g)._pred_cache.get((j, g))
-            if head is not None:
-                lo = g
-                break
-            if v.terms < cap.terms:
-                cap = v + ONE
-    out = list(_join(head, below, lo, min(upper, cap)).intervals)
-    for piece in reversed(pieces):
-        out += piece
-    return IntervalSet._normalized(out)
 
 
 def _join(head: IntervalSet | None, below: IntervalSet, lo: Ordinal,
@@ -508,16 +489,6 @@ def _slice(ivs: tuple[OrdinalInterval, ...], lo: Ordinal,
         if hi.terms < out[-1].high.terms:
             out[-1] = OrdinalInterval(out[-1].low, hi)
     return out
-
-
-def _constrains(p: StabilitySystem, j: int, g: Ordinal, beta: Ordinal,
-                below: IntervalSet) -> bool:
-    """Is the level-j key g <= beta a level-j domain point with g <=_{j-1} beta?
-    ``below``, the level-(j-1) predecessor set of beta, is unused at level 1,
-    where the test is ``_is_limit`` at level 0, inlined on the hot key walk."""
-    if j == 1:
-        return g.is_limit
-    return (g == beta or below.member(g)) and _is_limit(p, j - 1, g)
 
 
 def _is_limit(p: StabilitySystem, k: int, beta: Ordinal) -> bool:

@@ -332,7 +332,24 @@ def test_infimum_of_a_rewriting_chain(capsys, tmp_path, pstar):
 
 def test_generic_poset_params_need_kappa(capsys, system_file):
     assert run_cli(capsys, "generic", "--gamma", "0", system_file) == (
-        2, "", "poset membership checks need --kappa\n")
+        2, "", "input error: poset membership checks need --kappa\n")
+
+
+@pytest.mark.parametrize("argv", [[], ["--to", "w*4", "--chain-limit", "1"],
+                                  ["--chain-limit", "1"]])
+def test_extend_needs_one_target(capsys, system_file, argv):
+    assert run_cli(capsys, "extend", *argv, system_file) == (
+        2, "", "input error: extend needs either --to, or --chain-limit with --target\n")
+
+
+@pytest.mark.parametrize("argv", [["--to", "w*4"], ["--chain-limit", "1", "--target", "0"]])
+def test_extend_of_an_invalid_system_fails_like_generic(capsys, tmp_path, argv):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"bound": "w*3", "levels": {}}), encoding="utf-8")
+    message = ("check failed: not a valid stability system: "
+               "StabilitySystem(bound=w*3, levels={})\n")
+    assert run_cli(capsys, "extend", *argv, str(bad)) == (1, "", message)
+    assert run_cli(capsys, "generic", str(bad)) == (1, "", message)
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,8 +1,8 @@
 """The end-extension path against cold rebuilds.
 
 Systems made by ``with_bound`` and ``with_exception`` keep a link to an
-end-extension base, answer queries below the base's bound through it, and
-validate only the keys at or above it.  A cold rebuild of the same system has
+end-extension base, extend the base's compiled levels with their own keys,
+and validate only the keys at or above the base's bound.  A cold rebuild of the same system has
 no link, so every comparison here sets the incremental path against the
 from-scratch one.
 """
@@ -25,7 +25,7 @@ from stabforce.simulate import (
     validate_pattern,
 )
 from stabforce.stability import (
-    _owner,
+    _compiled,
     is_k_limit,
     le_k,
     lt_k,
@@ -191,15 +191,7 @@ def test_long_chain_has_no_recursion():
     assert pred_set(q, 2, O("w*2")) == pred_set(cold(q), 2, O("w*2"))
 
 
-# -- shared structure and jump pointers ------------------------------------------
-
-
-def linear_owner(p: StabilitySystem, beta) -> StabilitySystem:
-    """``_owner`` by walking the base links one at a time."""
-    base = p._base
-    while base is not None and beta < base.bound:
-        p, base = base, base._base
-    return p
+# -- shared structure -------------------------------------------------------------
 
 
 def linear_base_at_most(p: StabilitySystem, cut):
@@ -218,15 +210,25 @@ def chain_of(q: StabilitySystem) -> list[StabilitySystem]:
     return out
 
 
-def assert_owner_matches_linear_walk(q: StabilitySystem, betas) -> None:
-    chain = chain_of(q)
-    assert q._depth == len(chain) - 1
-    on_chain = {id(node) for node in chain}
-    for node in chain[:-1]:
-        assert id(node._jump) in on_chain and node._jump._depth < node._depth
-    assert chain[-1]._jump is None
-    for beta in betas:
-        assert _owner(q, beta) is linear_owner(q, beta), (q, beta)
+def assert_compiled_extends_base(q: StabilitySystem) -> None:
+    """Each of q's compiled levels is its base's object when it gains no key,
+    and otherwise starts with the base's keys, flags and very set objects."""
+    levels = _compiled(q)
+    assert list(levels) == [k for k, _ in q.levels]
+    for k, (entries, terms, binds, sets, belows) in levels.items():
+        assert entries == q.entries_at(k)
+        assert terms == [g.terms for g, _ in entries]
+        assert len(binds) == len(sets) == len(belows) == len(entries)
+    if q._base is None:
+        return
+    for k, old in _compiled(q._base).items():
+        new = levels[k]
+        if len(new[0]) == len(old[0]):
+            assert new is old, k
+        else:
+            assert new[1][:len(old[1])] == old[1] and new[2][:len(old[2])] == old[2]
+            for arrays in ((new[3], old[3]), (new[4], old[4])):
+                assert all(x is y for x, y in zip(*arrays)), k
 
 
 def chain_points(q: StabilitySystem) -> list:
@@ -304,7 +306,7 @@ def test_extensions_share_structure_and_match_cold(made_from, make):
     for parent, cut, q in made_from:
         assert_structure_matches_cold(q)
         assert q._base is linear_base_at_most(parent, cut)
-        assert_owner_matches_linear_walk(q, chain_points(q) + list(probe_points(q)))
+        assert_compiled_extends_base(q)
 
 
 def test_with_bound_reuses_the_levels():
@@ -366,26 +368,37 @@ def test_with_exception_errors_identity_and_level_order():
     assert r == cold(r)
 
 
-def test_jump_walk_is_logarithmic():
+def assert_long_chain_matches_cold(chain: list[StabilitySystem]) -> None:
+    """The tip of a 3,000-link chain answers as its cold rebuild does, and
+    every link shares its base's compiled levels by identity."""
+    p = chain[-1]
+    r = cold(p)
+    for beta in chain_points(p)[::10] + [O("w"), O("5")]:
+        for k in (1, 2):
+            assert pred_set(p, k, beta) == pred_set(r, k, beta), (k, beta)
+    assert validate(p) == validate(r)
+    assert len(chain_of(p)) == len(chain)
+    for node in chain[1:]:
+        assert node._base is not None
+        levels, base_levels = node._compiled, node._base._compiled
+        assert list(levels) == list(base_levels) == [1]
+        assert levels[1] is base_levels[1]
+
+
+def test_long_with_bound_chain_shares_compiled_levels():
     p = StabilitySystem(O("w+1"), {1: {O("w"): O("3")}})
     chain = [p]
     for _ in range(3000):
         p = p.with_bound(p.bound + OMEGA)
         chain.append(p)
-    assert p._depth == 3000
-    assert_owner_matches_linear_walk(p, chain_points(p)[::10] + [O("w")])
-    for node in chain[::250]:
-        assert_owner_matches_linear_walk(node, chain_points(node)[::25])
-    for beta in chain_points(p)[::7] + [O("5")]:
-        steps, node = 0, p
-        while node._base is not None and beta < node._base.bound:
-            node = node._jump if beta < node._jump.bound else node._base
-            steps += 1
-        assert steps <= 3 * 3000 .bit_length(), beta
+    assert all(node._compiled is None for node in chain)  # the tip compiles them all
+    assert_long_chain_matches_cold(chain)
 
 
-def test_long_canonical_chain_owner_matches_linear_walk():
+def test_long_canonical_chain_shares_compiled_levels():
     p = StabilitySystem(O("w+1"), {1: {O("w"): O("3")}})
+    chain = [p]
     for _ in range(3000):
         p = canonical_extend(p, p.top + OMEGA)
-    assert_owner_matches_linear_walk(p, chain_points(p)[::9])
+        chain.append(p)
+    assert_long_chain_matches_cold(chain)

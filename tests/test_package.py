@@ -1,4 +1,5 @@
 import ast
+import collections
 import pathlib
 import types
 
@@ -38,3 +39,29 @@ def test_no_module_imports_a_name_it_never_uses():
         unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
                    if name not in used]
     assert unused == []
+
+
+def _names(tree) -> collections.Counter:
+    """How often each identifier is read: bare names, attributes and imports."""
+    out = collections.Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            out[node.attr] += 1
+        elif isinstance(node, ast.ImportFrom):
+            out.update(alias.name for alias in node.names)
+    return out
+
+
+def test_every_private_function_and_class_is_used():
+    package = pathlib.Path(stabforce.__file__).parent
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(package.glob("*.py"))}
+    used = sum((_names(tree) for tree in trees.values()), collections.Counter())
+    dead = [f"{name}:{node.lineno} {node.name}" for name, tree in trees.items()
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and node.name.startswith("_") and not node.name.startswith("__")
+            and used[node.name] <= _names(node)[node.name]]
+    assert dead == []

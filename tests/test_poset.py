@@ -67,8 +67,6 @@ def test_canonical_extend_examples(pstar):
     assert extends(canonical_extend(pstar, O("w^2")), pstar, 3)
     with pytest.raises(OutOfRangeError):
         canonical_extend(pstar, O("w"))
-    with pytest.raises(OutOfRangeError):
-        canonical_extend(pstar, O("w^3"), PosetParams(O("w^3"), 1, O("0")))
 
 
 def test_extend_to_chain_limit_examples(pstar, qstar):

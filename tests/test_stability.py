@@ -258,11 +258,11 @@ def test_level_zero_sets_are_not_cached():
     """``dom_f`` at level 1 and V4 at level 1 read level-0 sets, [0, b); they
     are built on the spot, never stored."""
     g = run_construction(_chain_pattern(40)).g
-    q = system_from_json(system_to_json(g))  # link-free: every set is cached on q
+    q = system_from_json(system_to_json(g))  # link-free: every set is memoized on q
     assert validate(q).valid
-    assert q._pred_cache and all(k >= 1 for k, _ in q._pred_cache)
+    assert q._memo and all(k >= 1 for k, _ in q._memo)
     assert is_k_limit(q, 1, O("w*6")) and le_k(q, 0, O("w"), O("w*6"))
-    assert all(k >= 1 for k, _ in q._pred_cache)
+    assert all(k >= 1 for k, _ in q._memo)
 
 
 def test_depth_and_normalization():
