@@ -276,10 +276,11 @@ class IntervalSet:
 
     The constructor normalizes arbitrary input: intervals are sorted, and any
     overlapping or adjacent pair (next.low <= cur.high) is merged, so equal
-    sets have identical representations.
+    sets have identical representations.  ``_text`` memoizes the ``str``
+    spelling once it is asked for.
     """
 
-    __slots__ = ("intervals",)
+    __slots__ = ("intervals", "_text")
 
     def __init__(self, intervals: Iterable[OrdinalInterval] = ()):
         items = sorted(intervals, key=lambda iv: (iv.low.terms, iv.high.terms))
@@ -291,6 +292,7 @@ class IntervalSet:
             else:
                 merged.append(iv)
         self.intervals = tuple(merged)
+        self._text = None
 
     @classmethod
     def of(cls, *pairs: tuple[Ordinal, Ordinal]) -> "IntervalSet":
@@ -305,6 +307,7 @@ class IntervalSet:
         """Wrap intervals that are already sorted, disjoint and non-adjacent."""
         s = cls.__new__(cls)
         s.intervals = tuple(intervals)
+        s._text = None
         return s
 
     def member(self, alpha: Ordinal) -> bool:
@@ -363,9 +366,12 @@ class IntervalSet:
         return hash(self.intervals)
 
     def __str__(self) -> str:
-        if not self.intervals:
-            return "{}"
-        return " u ".join(str(iv) for iv in self.intervals)
+        text = self._text
+        if text is None:
+            text = self._text = " u ".join([
+                f"[{format_ordinal(iv.low)}, {format_ordinal(iv.high)})"
+                for iv in self.intervals]) or "{}"
+        return text
 
     def __repr__(self) -> str:
         return f"IntervalSet({self})"

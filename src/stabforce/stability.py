@@ -21,10 +21,13 @@ the a with a <_k b, and every order query is membership in it.  Every level
 order is a tree order, for valid and invalid systems alike, so the level-k
 keys that constrain b are those that constrain its nearest constraining key
 g*, plus b itself.  Each level's set is therefore g*'s set, joined with the
-slice of the level-(k-1) set from g* to b and cut by b's own value.  Each
-level's keys are compiled once per system, in ascending order, into their
-own sets; a query then takes one bisection per level and either a stored set
-or that one step, memoized per (level, point).  ``_pred`` holds the proof.
+slice of the level-(k-1) set from g* to b and cut by b's own value.  As
+a <_k b implies a <_{k-1} b, a point's sets shrink level by level into one
+row ``P_1(b) >= P_2(b) >= ...``, memoized per point and grown upward on
+demand.  Each level's keys are compiled once, in ascending order, into their
+own rows, which every system linked to the compiling one shares; a query
+adopts a key's row or takes one bisection and that one step per level.
+``_pred`` holds the proof.
 """
 
 from __future__ import annotations
@@ -70,9 +73,9 @@ class StabilitySystem:
     ``_base`` to an end-extension base: a system on its chain whose keys all
     lie below its own bound and whose exceptions it repeats below that bound.
     The base's keys are therefore the first of its own at every level, so its
-    compiled levels (see ``_compiled``) extend the base's, sharing every level
-    that gains no key, and ``validate`` re-checks only the keys at or above
-    the base's bound.  The link is semantically invisible and takes no part in
+    compiled levels (see ``_compiled``) extend the base's, sharing every old
+    key's row and every level that gains no key, and ``validate`` re-checks
+    only the keys at or above the base's bound.  The link is semantically invisible and takes no part in
     equality.
 
     Such a system is also built from its parent's normalized parts: it shares
@@ -271,6 +274,8 @@ class CheckReport:
 
 
 def _require_args(p: StabilitySystem, k: int, *points: Ordinal, least: int = 1) -> None:
+    """Raise for a level below ``least`` or a point not below the bound.  The
+    public queries make the same test inline and call this only to raise."""
     if k < least:
         raise ValueError(f"level must be >= {least}")
     t = p.bound.terms
@@ -285,7 +290,8 @@ def dom_f(p: StabilitySystem, k: int, alpha: Ordinal) -> bool:
 
     At level 1 that is a limit ordinal, since level 0 is the ordinal order.
     """
-    _require_args(p, k, alpha)
+    if k < 1 or not alpha.terms < p.bound.terms:
+        _require_args(p, k, alpha)
     return _is_limit(p, k - 1, alpha)
 
 
@@ -299,7 +305,9 @@ def f_eval(p: StabilitySystem, k: int, alpha: Ordinal) -> Ordinal | None:
 
 def lt_k(p: StabilitySystem, k: int, alpha: Ordinal, beta: Ordinal) -> bool:
     """Strict level-k order: alpha <_k beta iff alpha is in ``pred_set(p, k, beta)``."""
-    _require_args(p, k, alpha, beta)
+    t = p.bound.terms
+    if k < 1 or not (alpha.terms < t and beta.terms < t):
+        _require_args(p, k, alpha, beta)
     return _lt(p, k, alpha, beta)
 
 
@@ -309,7 +317,9 @@ def _lt(p: StabilitySystem, k: int, alpha: Ordinal, beta: Ordinal) -> bool:
 
 def le_k(p: StabilitySystem, k: int, alpha: Ordinal, beta: Ordinal) -> bool:
     """Reflexive level-k order; level 0 is the plain ordinal order."""
-    _require_args(p, k, alpha, beta, least=0)
+    t = p.bound.terms
+    if k < 0 or not (alpha.terms < t and beta.terms < t):
+        _require_args(p, k, alpha, beta, least=0)
     return _le(p, k, alpha, beta)
 
 
@@ -322,9 +332,10 @@ def pred_set(p: StabilitySystem, k: int, beta: Ordinal) -> IntervalSet:
 
     The only place exception keys are scanned; ``lt_k``, ``le_k`` and
     ``dom_f`` read their answers off it.  Levels are walked bottom-up in a
-    loop and each level's set is memoized per (level, point).
+    loop, and each point's sets are memoized as one row over its levels.
     """
-    _require_args(p, k, beta)
+    if k < 1 or not beta.terms < p.bound.terms:
+        _require_args(p, k, beta)
     return _pred(p, k, beta)
 
 
@@ -375,43 +386,72 @@ def _pred(p: StabilitySystem, k: int, beta: Ordinal) -> IntervalSet:
     domain, d being its largest predecessor), so it is no level limit.  Thus
     ``P_j(g*)`` ends at v_{g*} + 1 < g*, and the union stays normalized.
 
-    The compile pass.  Whether a key g binds (is a level-j domain point
-    valued below itself) depends on g alone, and a binding g < b is in
-    ``C_j(b)`` iff it is in ``P_{j-1}(b)``.  So g* is the first such key
-    below b, walking down, and ``_step`` is the recurrence.  ``_compiled``
-    takes that step once per key, in ascending order, and keeps the key's
-    sets at its level and the one below; a query reads one of those, or
-    takes a stored set or one step per level.  Nothing recurses: the compile
-    pass asks ``_pred`` only for a lower level, and ``_pred`` only loops, so
-    the stack never grows with the number of keys, a chain or a level.
+    Rows.  As x <_j y implies x <_{j-1} y, ``P_j(b)`` is inside
+    ``P_{j-1}(b)``, and ``p._memo`` keeps b's sets as one row
+    ``[P_1(b), ..., P_m(b)]``, grown upward on demand by the recurrence, with
+    m at most the depth of the system that grew it.  Whether a key g binds
+    (is a level-j domain point valued below itself) depends on g alone, and
+    a binding g < b is in ``C_j(b)`` iff it is in ``P_{j-1}(b)``.  So g* is
+    the first such key below b, walking down, and ``_step`` is the
+    recurrence.  ``_compiled`` takes that step once per key, in ascending
+    order, appends the key's ``P_j`` to its row and stores the row itself in
+    the level's array.  A point that is a key adopts, on its first query,
+    the row stored at its highest key level; that row already holds every
+    level at which the point is a key, so each level a row grows by holds
+    the point as no key, and its cap is the point itself.
+
+    Sharing.  ``P_j(g)`` depends only on the exceptions at or below g, at
+    every level, since the definition quantifies over keys in (a, g] with
+    a < g.  A system q other than the system c that compiled g holds g's
+    row only if it extends c's arrays, that is, only if c is on q's chain
+    of ``_base`` links.  Each link repeats its base's exceptions below the
+    base's bound, and a base's bound is at most its linked system's, so q
+    repeats c's exceptions below c's bound.  Links are made only to systems
+    whose keys lie below their bound, so g is below c's bound, and q and c
+    have the same exceptions at or below g, at every level: ``P_j(g)`` is
+    the same set in both for every j.  That includes the levels above c's
+    depth that a deeper q appends, where neither system has a key at or
+    below g.  So every entry of a shared row is right in every system that
+    holds it, whichever of them appended it, even where the row is longer
+    than the reader's depth.  A point that is no key has a row of p's own,
+    and ``_pred`` reads nothing but p's memo and p's compiled arrays: it
+    never walks ``_base``.
+
+    Nothing recurses: the compile pass asks ``_pred`` only for a lower
+    level, and ``_pred`` only loops, so the stack never grows with the
+    number of keys, a chain or a level.
     """
     if k == 0:
         return _segment(beta)
-    levels = p._compiled or _compiled(p)  # an empty dict is compiled too, and cheap
-    k = min(k, p.depth)
-    memo = p._memo
-    result = memo.get((k, beta))
-    if result is not None:
-        return result
+    row = p._memo.get(beta)
+    if row is not None and k <= len(row):
+        return row[k - 1]
+    return _grow(p, min(k, p.depth), beta, row)
+
+
+def _grow(p: StabilitySystem, k: int, beta: Ordinal, row: list | None) -> IntervalSet:
+    """``P_k(beta)``, for k at most p's depth, after growing beta's row (None
+    before its first query) up to level k."""
+    levels = p._compiled
+    if levels is None:
+        levels = _compiled(p)
     t = beta.terms
-    up = levels.get(k + 1)  # a level-(k+1) key holds its level-k set
-    i = bisect_left(up[1], t) if up else 0
-    if up and i < len(up[1]) and up[1][i] == t:
-        return up[4][i]
-    result = _segment(beta)
-    for j, (entries, terms, binds, sets, _) in levels.items():
-        if j > k:
-            break
-        below, result = result, memo.get((j, beta))
-        if result is None:
+    if row is None:
+        row = []
+        for _, terms, _, rows in reversed(levels.values()):
             i = bisect_left(terms, t)
             if i < len(terms) and terms[i] == t:
-                result = sets[i]
-            else:
-                result = _step(entries, binds, sets, i, below, beta)
-            memo[(j, beta)] = result
-    memo[(k, beta)] = result
-    return result
+                row = rows[i]
+                break
+        p._memo[beta] = row
+    below = row[-1] if row else _segment(beta)
+    for j in range(len(row) + 1, k + 1):
+        level = levels.get(j)
+        if level is not None:
+            entries, terms, binds, rows = level
+            below = _step(entries, binds, rows, j, bisect_left(terms, t), below, beta)
+        row.append(below)
+    return row[k - 1]
 
 
 def _segment(beta: Ordinal) -> IntervalSet:
@@ -421,13 +461,14 @@ def _segment(beta: Ordinal) -> IntervalSet:
 
 def _compiled(p: StabilitySystem) -> dict:
     """p's levels, each compiled in one ascending pass: level j maps to
-    ``(entries, terms, binds, sets, belows)``, holding per key its CNF terms,
-    whether it binds (is a level-j domain point valued below itself), its
-    ``P_j`` and its ``P_{j-1}``.
+    ``(entries, terms, binds, rows)``, holding per key its CNF terms, whether
+    it binds (is a level-j domain point valued below itself) and its row, the
+    list of its sets from level 1 up, which holds at least ``P_j``.
 
-    A key's set depends only on the keys at or below it, so a linked system
-    extends its base's arrays by its new keys, and shares a level that gains
-    none.  The links are walked in a loop, oldest system first.
+    A key's row depends only on the exceptions at or below it (see
+    ``_pred``), so a linked system extends its base's arrays by its new keys,
+    sharing every old key's row, and shares a level that gains none.  The
+    links are walked in a loop, oldest system first.
     """
     pending: list[StabilitySystem] = []
     node: StabilitySystem | None = p
@@ -437,32 +478,41 @@ def _compiled(p: StabilitySystem) -> dict:
     for node in reversed(pending):
         base = node._base._compiled if node._base is not None else {}
         node._compiled = levels = {}
+        memo = node._memo
         for j, entries in node.levels:
-            old = base.get(j) or ((), [], [], [], [])
-            if len(old[0]) == len(entries):
+            old = base.get(j)
+            n = len(old[0]) if old else 0
+            if n == len(entries):
                 levels[j] = old
                 continue
-            terms, binds, sets, belows = old[1][:], old[2][:], old[3][:], old[4][:]
-            for g, v in entries[len(terms):]:
+            terms, binds, rows = (old[1][:], old[2][:], old[3][:]) if old else ([], [], [])
+            for g, v in entries[n:]:
                 below = _pred(node, j - 1, g)
+                row = memo.get(g)
+                if row is None:  # a level-1 key: level 0 is not memoized
+                    row = memo[g] = []
                 bind = v.terms < g.terms and _is_limit(node, j - 1, g)
-                sets.append(_step(entries, binds, sets, len(terms), below,
-                                  v + ONE if bind else g))
+                row.append(_step(entries, binds, rows, j, len(terms), below,
+                                 v + ONE if bind else g))
                 terms.append(g.terms)
                 binds.append(bind)
-                belows.append(below)
-            levels[j] = (entries, terms, binds, sets, belows)
+                rows.append(row)
+            levels[j] = (entries, terms, binds, rows)
     return p._compiled
 
 
-def _step(entries: Entries, binds: list[bool], sets: list[IntervalSet], i: int,
-          below: IntervalSet, cap: Ordinal) -> IntervalSet:
+def _step(entries: Entries, binds: list[bool], rows: list[list[IntervalSet]], j: int,
+          i: int, below: IntervalSet, cap: Ordinal) -> IntervalSet:
     """P_j(b) by ``_pred``'s recurrence, for a point b above the first i keys
-    of its level, from ``below`` = P_{j-1}(b) and b's cap: v_b + 1 when b
-    binds, else b."""
+    of level j, from ``below`` = P_{j-1}(b) and b's cap: v_b + 1 when b
+    binds, else b.  With no g* and a cap that cuts nothing, that is
+    ``below`` itself."""
     for i in range(i - 1, -1, -1):
         if binds[i] and below.member(entries[i][0]):
-            return _join(sets[i], below, entries[i][0], cap)
+            return _join(rows[i][j - 1], below, entries[i][0], cap)
+    ivs = below.intervals
+    if not ivs or ivs[-1].high.terms <= cap.terms:
+        return below
     return _join(None, below, ZERO, cap)
 
 
@@ -524,14 +574,16 @@ def _is_lim2(p: StabilitySystem, k: int, beta: Ordinal) -> bool:
 
 def is_k_limit(p: StabilitySystem, k: int, alpha: Ordinal) -> bool:
     """alpha is a level-k limit: its strict predecessor set is nonempty with no max."""
-    _require_args(p, k, alpha)
+    if k < 1 or not alpha.terms < p.bound.terms:
+        _require_args(p, k, alpha)
     return _is_limit(p, k, alpha)
 
 
 def is_k_lim2(p: StabilitySystem, k: int, alpha: Ordinal) -> bool:
     """alpha is a level-k limit of level-k limits, read off the top interval
     of its predecessor set (see ``_is_lim2``)."""
-    _require_args(p, k, alpha)
+    if k < 1 or not alpha.terms < p.bound.terms:
+        _require_args(p, k, alpha)
     return _is_lim2(p, k, alpha)
 
 

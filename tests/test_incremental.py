@@ -16,7 +16,14 @@ from stabforce.errors import BudgetExhaustedError, TargetNotReachableError
 from stabforce.gen import random_chain, random_system, random_tower
 from stabforce.ordinal import OMEGA, ONE
 from stabforce.ordinal import parse_ordinal as O
-from stabforce.poset import canonical_extend, meet_dense, taller_than, top_chain_limit
+from stabforce.poset import (
+    canonical_extend,
+    extend_to_chain_limit,
+    extend_with_top_exception,
+    meet_dense,
+    taller_than,
+    top_chain_limit,
+)
 from stabforce.simulate import (
     check_requirements,
     check_stable_pairs,
@@ -26,13 +33,17 @@ from stabforce.simulate import (
 )
 from stabforce.stability import (
     _compiled,
+    _pred,
     is_k_limit,
     le_k,
     lt_k,
     pred_set,
     probe_points,
+    system_from_json,
+    system_to_json,
     validate,
 )
+from test_stability import _chain_pattern
 
 PROBE_SIZE = 10
 
@@ -212,13 +223,18 @@ def chain_of(q: StabilitySystem) -> list[StabilitySystem]:
 
 def assert_compiled_extends_base(q: StabilitySystem) -> None:
     """Each of q's compiled levels is its base's object when it gains no key,
-    and otherwise starts with the base's keys, flags and very set objects."""
+    and otherwise starts with the base's keys and flags; every old key's row
+    is its base's very object.  A key has one row at all its levels, holding
+    at least its own level's set."""
     levels = _compiled(q)
     assert list(levels) == [k for k, _ in q.levels]
-    for k, (entries, terms, binds, sets, belows) in levels.items():
+    row_of: dict = {}
+    for k, (entries, terms, binds, rows) in levels.items():
         assert entries == q.entries_at(k)
         assert terms == [g.terms for g, _ in entries]
-        assert len(binds) == len(sets) == len(belows) == len(entries)
+        assert len(binds) == len(rows) == len(entries)
+        for (g, _), row in zip(entries, rows):
+            assert len(row) >= k and row_of.setdefault(g, row) is row, (k, g)
     if q._base is None:
         return
     for k, old in _compiled(q._base).items():
@@ -227,8 +243,7 @@ def assert_compiled_extends_base(q: StabilitySystem) -> None:
             assert new is old, k
         else:
             assert new[1][:len(old[1])] == old[1] and new[2][:len(old[2])] == old[2]
-            for arrays in ((new[3], old[3]), (new[4], old[4])):
-                assert all(x is y for x, y in zip(*arrays)), k
+            assert all(x is y for x, y in zip(new[3], old[3])), k
 
 
 def chain_points(q: StabilitySystem) -> list:
@@ -402,3 +417,35 @@ def test_long_canonical_chain_shares_compiled_levels():
         p = canonical_extend(p, p.top + OMEGA)
         chain.append(p)
     assert_long_chain_matches_cold(chain)
+
+
+def test_siblings_and_a_rejected_candidate_share_rows_soundly(made):
+    """Two extensions of one base with different new keys, one at a level
+    above the base's depth, and a candidate ``extend_with_top_exception``
+    rejects all hold the base's key rows.  Queried interleaved, in both level
+    orders, each answers as its cold rebuild does."""
+    base = run_construction(_chain_pattern(6)).g
+    top = base.top + OMEGA
+    shallow = extend_to_chain_limit(base, 1, O("w*19"))
+    deep = extend_to_chain_limit(base, 4, O("w*23"))
+    made.clear()
+    with pytest.raises(TargetNotReachableError):
+        extend_with_top_exception(base, top, 2, O("w*6"))
+    candidate = made[-1]
+    assert candidate.exception_value(2, top) == O("w*6")
+    systems = [base, shallow, deep, candidate]
+    assert all(q._base is base for q in systems[1:])
+    assert deep.depth == 5 > base.depth
+    colds = [system_from_json(system_to_json(q)) for q in systems]
+    pts = sorted({b for q in systems for b in probe_points(q)}, key=lambda a: a.terms)
+    levels = range(deep.depth + 2)
+    for order in (levels, levels[::-1]):
+        for b in pts:
+            for k in order:
+                for q, r in zip(systems, colds):
+                    if b < q.bound:
+                        assert _pred(q, k, b) == _pred(r, k, b), (q, k, b)
+    grown = [row for row in _compiled(base)[1][3] if len(row) > base.depth]
+    assert grown and all(any(row is x for x in deep._memo.values()) for row in grown)
+    for q, r in zip(systems, colds):
+        assert validate(q) == validate(r)

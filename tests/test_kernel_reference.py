@@ -23,8 +23,10 @@ from stabforce import (
     probe_points,
     validate,
 )
+from stabforce.errors import TargetNotReachableError
 from stabforce.gen import mutate_system, random_system
-from stabforce.ordinal import ONE, ZERO, IntervalSet, format_ordinal
+from stabforce.ordinal import OMEGA, ONE, ZERO, IntervalSet, format_ordinal
+from stabforce.poset import canonical_extend, extend_to_chain_limit, extend_with_top_exception
 from stabforce.simulate import run_construction
 from stabforce.stability import (
     ValidationReport,
@@ -34,6 +36,8 @@ from stabforce.stability import (
     _pred,
     _segment,
     _slice,
+    system_from_json,
+    system_to_json,
 )
 from test_stability import _chain_pattern, random_invalid_system
 
@@ -188,9 +192,33 @@ def assert_matches_reference(p, ref):
     assert validate(p) == ref.report(p), p
 
 
+def siblings(base):
+    """Extensions of ``base`` to its next fresh limit at every level and
+    reachable target, deepest level first, then for each level the first
+    candidate ``extend_with_top_exception`` rejects.  All hold the base's key
+    rows, and the deeper ones grow them past the base's depth before the
+    shallower ones read them."""
+    top = base.top + OMEGA
+    rejected = {}
+    for ell in range(base.depth + 2, 0, -1):
+        for target in probe_points(base):
+            try:
+                yield extend_to_chain_limit(base, ell, target)
+            except TargetNotReachableError:
+                rejected.setdefault(ell + 1, target)
+    for level, value in rejected.items():
+        try:
+            extend_with_top_exception(base, top, level, value)
+        except TargetNotReachableError:
+            yield canonical_extend(base, top).with_exception(level, top, value)
+        else:
+            raise AssertionError((base, level, value))
+
+
 def corpus():
     """Random systems, small and large, their mutants, systems with V3-broken
-    and misplaced keys, and every step of constructions with 40 to 160 keys."""
+    and misplaced keys, every step of constructions with 40 to 160 keys, and
+    sibling extensions of constructions and of random valid systems."""
     rng = random.Random(1203)
     for _ in range(400):
         yield random_system(rng, small=True)
@@ -205,6 +233,32 @@ def corpus():
         assert result.g.exception_count() == 2 * points
         for step in result.trace:
             yield step.system
+    for base in [run_construction(_chain_pattern(n)).g for n in (6, 12)] + [
+            p for p in (random_system(rng) for _ in range(20)) if validate(p).valid]:
+        yield base
+        yield from siblings(base)
+
+
+def assert_batch_matches_reference(p, ref, rng, count):
+    """A seeded mix of ``lt_k``, ``le_k``, ``pred_set``, ``is_k_limit`` and
+    ``is_k_lim2`` queries, as the query benchmark asks them, on a cold copy of
+    p: levels and points come in random order, so rows grow several levels at
+    a time, from any level."""
+    q = system_from_json(system_to_json(p))
+    pts = probe_points(q)
+    for _ in range(count):
+        kind, k = rng.randrange(5), rng.randint(1, q.depth + 1)
+        a, b = rng.choice(pts), rng.choice(pts)
+        if kind == 0:
+            assert lt_k(q, k, a, b) == ref.lt(q, k, a, b), (k, a, b)
+        elif kind == 1:
+            assert le_k(q, k, a, b) == (a == b or ref.lt(q, k, a, b)), (k, a, b)
+        elif kind == 2:
+            assert str(pred_set(q, k, b)) == str(ref.pred(q, k, b)), (k, b)
+        elif kind == 3:
+            assert is_k_limit(q, k, b) == ref.is_limit(q, k, b), (k, b)
+        else:
+            assert is_k_lim2(q, k, b) == ref.is_lim2(q, k, b), (k, b)
 
 
 def test_compiled_kernel_matches_the_key_walk_kernel():
@@ -216,3 +270,5 @@ def test_compiled_kernel_matches_the_key_walk_kernel():
         broken += not validate(p).valid
         linked += p._base is not None
     assert count >= 1200 and broken >= 300 and linked >= 600, (count, broken, linked)
+    assert_batch_matches_reference(run_construction(_chain_pattern(40)).g, ref,
+                                   random.Random(1204), 1500)

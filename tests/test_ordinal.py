@@ -254,6 +254,17 @@ def test_merge_intersect_matches_nested_loop(s, t):
     assert s.intersect(t).intervals == nested_loop_intersect(s, t).intervals
 
 
+@given(_wide_interval_sets)
+def test_interval_set_text_is_cached_and_unchanged(s):
+    """``str`` builds the text once from ``format_ordinal``; it is the
+    spelling of the intervals joined by " u ", and "{}" for the empty set,
+    whether the set came from the constructor or from ``intersect``."""
+    for t in (s, s.intersect(s)):
+        expect = " u ".join(str(iv) for iv in t.intervals) if t.intervals else "{}"
+        text = str(t)
+        assert text == expect and str(t) is text
+
+
 @given(_wide_interval_sets, _ordinals)
 def test_bisect_member_matches_linear_scan(s, x):
     assert s.member(x) == any(iv.low <= x < iv.high for iv in s.intervals)

@@ -256,13 +256,28 @@ def test_negative_level_is_rejected(pstar):
 
 def test_level_zero_sets_are_not_cached():
     """``dom_f`` at level 1 and V4 at level 1 read level-0 sets, [0, b); they
-    are built on the spot, never stored."""
+    are built on the spot, never stored.  A point's row holds its sets from
+    level 1 up and is never longer than the depth, even after a query at a
+    level far above it."""
     g = run_construction(_chain_pattern(40)).g
-    q = system_from_json(system_to_json(g))  # link-free: every set is memoized on q
+    q = system_from_json(system_to_json(g))  # link-free: every row is memoized on q
     assert validate(q).valid
-    assert q._memo and all(k >= 1 for k, _ in q._memo)
-    assert is_k_limit(q, 1, O("w*6")) and le_k(q, 0, O("w"), O("w*6"))
-    assert all(k >= 1 for k, _ in q._memo)
+
+    def assert_rows():
+        assert q._memo
+        for b, row in q._memo.items():
+            assert 1 <= len(row) <= q.depth, (b, len(row))
+            assert row == [pred_set(g, k, b) for k in range(1, len(row) + 1)], b
+
+    assert_rows()
+    b = O("w*6+1")
+    assert b not in q._memo
+    assert not dom_f(q, 1, b) and le_k(q, 0, O("w"), b)
+    assert b not in q._memo
+    assert is_k_limit(q, 1, O("w*6"))
+    assert pred_set(q, 5000, O("w*6")) == pred_set(q, q.depth, O("w*6"))
+    assert len(q._memo[O("w*6")]) == q.depth
+    assert_rows()
 
 
 def test_depth_and_normalization():
