@@ -53,7 +53,7 @@ class PosetParams:
 
 def _require_valid(*systems: StabilitySystem) -> None:
     for p in systems:
-        if not p.is_valid:
+        if not validate(p).valid:
             raise InvalidConditionError(f"not a valid stability system: {p!r}")
 
 

@@ -409,7 +409,7 @@ def _blocking_witness(g: StabilitySystem, k: int, alpha: Ordinal,
     level-k key g in (alpha, theta] valued below alpha that constrains theta.
     All keys of g lie below theta, so that is: g binds and is in ``below``.
     """
-    entries, _, binds, _ = _compiled(g)[k]
+    entries, _, binds, _, _ = _compiled(g)[k]
     return next((k, key, value) for (key, value), bind in zip(entries, binds)
                 if bind and alpha < key and value < alpha and below.member(key))
 

@@ -74,9 +74,9 @@ class StabilitySystem:
     lie below its own bound and whose exceptions it repeats below that bound.
     The base's keys are therefore the first of its own at every level, so its
     compiled levels (see ``_compiled``) extend the base's, sharing every old
-    key's row and every level that gains no key, and ``validate`` re-checks
-    only the keys at or above the base's bound.  The link is semantically invisible and takes no part in
-    equality.
+    key's row and violations and every level that gains no key, and the
+    compile pass checks only the new keys.  The link is semantically
+    invisible and takes no part in equality.
 
     Such a system is also built from its parent's normalized parts: it shares
     every level tuple and every entry it does not change, so an extension
@@ -191,10 +191,6 @@ class StabilitySystem:
 
     def _as_dict(self) -> dict[int, dict[Ordinal, Ordinal]]:
         return {k: dict(entries) for k, entries in self.levels}
-
-    @property
-    def is_valid(self) -> bool:
-        return validate(self).valid
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, StabilitySystem)
@@ -438,7 +434,7 @@ def _grow(p: StabilitySystem, k: int, beta: Ordinal, row: list | None) -> Interv
     t = beta.terms
     if row is None:
         row = []
-        for _, terms, _, rows in reversed(levels.values()):
+        for _, terms, _, rows, _ in reversed(levels.values()):
             i = bisect_left(terms, t)
             if i < len(terms) and terms[i] == t:
                 row = rows[i]
@@ -448,7 +444,7 @@ def _grow(p: StabilitySystem, k: int, beta: Ordinal, row: list | None) -> Interv
     for j in range(len(row) + 1, k + 1):
         level = levels.get(j)
         if level is not None:
-            entries, terms, binds, rows = level
+            entries, terms, binds, rows, _ = level
             below = _step(entries, binds, rows, j, bisect_left(terms, t), below, beta)
         row.append(below)
     return row[k - 1]
@@ -460,15 +456,24 @@ def _segment(beta: Ordinal) -> IntervalSet:
 
 
 def _compiled(p: StabilitySystem) -> dict:
-    """p's levels, each compiled in one ascending pass: level j maps to
-    ``(entries, terms, binds, rows)``, holding per key its CNF terms, whether
-    it binds (is a level-j domain point valued below itself) and its row, the
-    list of its sets from level 1 up, which holds at least ``P_j``.
+    """p's levels, each compiled in one ascending pass, and p's validation
+    report.  Level j maps to ``(entries, terms, binds, rows, violations)``:
+    per key its CNF terms, whether it binds (is a level-j domain point valued
+    below itself) and its row, the list of its sets from level 1 up, which
+    holds at least ``P_j``; then the level's V2-V5 violations.
 
-    A key's row depends only on the exceptions at or below it (see
-    ``_pred``), so a linked system extends its base's arrays by its new keys,
-    sharing every old key's row, and shares a level that gains none.  The
-    links are walked in a loop, oldest system first.
+    Each of V2-V5 is read off two sets the pass holds for a key g:
+    ``below`` = ``P_{j-1}(g)``, whose top ends at a limit iff g is in the
+    domain (V2) and at g itself iff a lim2 g is a lim2 point (V4), and
+    ``own`` = ``P_j(g)``, which holds v iff v <_j g (V5).  A key's row, and
+    its violations once it is below the bound, depend only on the exceptions
+    at or below it (see ``_pred``), so a linked system extends its base's
+    arrays and violations by its new keys, sharing every old key's row, and
+    shares a level that gains none.  Its new keys, ``entries[n:]`` past the
+    base's n, are exactly those at or above the base's bound: the base's keys
+    all lie below that bound, and the linked system repeats them there.
+    ``_report`` holds V1, then the levels in order.  The links are walked in
+    a loop, oldest system first.
     """
     pending: list[StabilitySystem] = []
     node: StabilitySystem | None = p
@@ -479,6 +484,7 @@ def _compiled(p: StabilitySystem) -> dict:
         base = node._base._compiled if node._base is not None else {}
         node._compiled = levels = {}
         memo = node._memo
+        bound = node.bound.terms
         for j, entries in node.levels:
             old = base.get(j)
             n = len(old[0]) if old else 0
@@ -486,18 +492,45 @@ def _compiled(p: StabilitySystem) -> dict:
                 levels[j] = old
                 continue
             terms, binds, rows = (old[1][:], old[2][:], old[3][:]) if old else ([], [], [])
+            found = list(old[4]) if old else []
             for g, v in entries[n:]:
                 below = _pred(node, j - 1, g)
                 row = memo.get(g)
                 if row is None:  # a level-1 key: level 0 is not memoized
                     row = memo[g] = []
-                bind = v.terms < g.terms and _is_limit(node, j - 1, g)
-                row.append(_step(entries, binds, rows, j, len(terms), below,
-                                 v + ONE if bind else g))
+                ivs = below.intervals
+                dom = bool(ivs) and ivs[-1].high.is_limit
+                bind = dom and v.terms < g.terms
+                own = _step(entries, binds, rows, j, len(terms), below, v + ONE if bind else g)
+                row.append(own)
                 terms.append(g.terms)
                 binds.append(bind)
                 rows.append(row)
-            levels[j] = (entries, terms, binds, rows)
+                at_lim2 = bind and g.is_lim2 and ivs[-1].high == g
+                fits = bind and own.member(v)
+                if at_lim2 or not (fits and g.terms < bound):  # text only for a violation
+                    subject = format_ordinal(g)
+                    if not g.terms < bound:
+                        found.append(Violation("V2", j, subject, "key not below the bound"))
+                    elif not dom:
+                        found.append(Violation("V2", j, subject,
+                                               f"key not in the level-{j} domain"))
+                    else:
+                        if not bind:
+                            found.append(Violation("V3", j, subject, f"value {v} exceeds key"))
+                        if at_lim2:
+                            found.append(Violation(
+                                "V4", j, subject, f"value {v} at a lim2 point of the level-{j} "
+                                "chain; continuity forces the identity there"))
+                        if not fits:
+                            found.append(Violation("V5", j, subject, f"value {v} not below "
+                                                   f"key in the level-{j} order"))
+            levels[j] = (entries, terms, binds, rows, tuple(found))
+        violations = [] if node.bound.is_successor else [
+            Violation("V1", 0, format_ordinal(node.bound), "bound must be a successor ordinal")]
+        for level in levels.values():
+            violations += level[4]
+        node._report = ValidationReport(valid=not violations, violations=tuple(violations))
     return p._compiled
 
 
@@ -598,53 +631,14 @@ def validate(p: StabilitySystem) -> ValidationReport:
     point of its level's index chain, where the liminf forces the identity);
     V5 each value sits below its key in the key's own level order.
 
-    The report is stored on the system.  A system with an end-extension base
-    inherits the base's V2-V5 violations, which concern only keys below the
-    base's bound, and checks the remaining keys itself; the report equals a
+    The compile pass checks each key once, as it compiles it (see
+    ``_compiled``), and stores the report on the system; a system with an
+    end-extension base inherits the base's violations.  The report equals a
     from-scratch run, violation order included.
     """
-    pending: list[StabilitySystem] = []
-    node: StabilitySystem | None = p
-    while node is not None and node._report is None:
-        pending.append(node)
-        node = node._base
-    for node in reversed(pending):
-        node._report = _fresh_report(node)
+    if p._compiled is None:
+        _compiled(p)
     return p._report
-
-
-def _fresh_report(p: StabilitySystem) -> ValidationReport:
-    base = p._base
-    inherited = base._report.violations if base is not None else ()
-    violations: list[Violation] = []
-    if not p.bound.is_successor:
-        violations.append(Violation("V1", 0, format_ordinal(p.bound),
-                                    "bound must be a successor ordinal"))
-    for k, entries in p.levels:
-        violations.extend(x for x in inherited if x.level == k)
-        if base is not None:  # keys below the base's bound are the base's
-            entries = entries[bisect_left(entries, base.bound.terms, key=_entry_key):]
-        for g, v in entries:
-            subject = format_ordinal(g)
-            if not g < p.bound:
-                violations.append(Violation("V2", k, subject, "key not below the bound"))
-                continue
-            if not dom_f(p, k, g):
-                violations.append(Violation("V2", k, subject,
-                                            f"key not in the level-{k} domain"))
-                continue
-            if not v <= g:
-                violations.append(Violation("V3", k, subject,
-                                            f"value {v} exceeds key"))
-            if v < g and _is_lim2(p, k - 1, g):
-                violations.append(Violation(
-                    "V4", k, subject,
-                    f"value {v} at a lim2 point of the level-{k} chain; "
-                    f"continuity forces the identity there"))
-            if not _le(p, k, v, g):
-                violations.append(Violation("V5", k, subject,
-                                            f"value {v} not below key in the level-{k} order"))
-    return ValidationReport(valid=not violations, violations=tuple(violations))
 
 
 def probe_points(p: StabilitySystem, extra: Iterable[Ordinal] = (), cap: int | None = None) -> tuple[Ordinal, ...]:

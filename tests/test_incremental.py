@@ -1,10 +1,10 @@
 """The end-extension path against cold rebuilds.
 
 Systems made by ``with_bound`` and ``with_exception`` keep a link to an
-end-extension base, extend the base's compiled levels with their own keys,
-and validate only the keys at or above the base's bound.  A cold rebuild of the same system has
-no link, so every comparison here sets the incremental path against the
-from-scratch one.
+end-extension base and extend the base's compiled levels, violations
+included, with their own keys, which the compile pass checks as it compiles
+them.  A cold rebuild of the same system has no link, so every comparison
+here sets the incremental path against the from-scratch one.
 """
 
 import random
@@ -223,27 +223,29 @@ def chain_of(q: StabilitySystem) -> list[StabilitySystem]:
 
 def assert_compiled_extends_base(q: StabilitySystem) -> None:
     """Each of q's compiled levels is its base's object when it gains no key,
-    and otherwise starts with the base's keys and flags; every old key's row
-    is its base's very object.  A key has one row at all its levels, holding
-    at least its own level's set."""
+    and otherwise starts with the base's keys, flags and violations; every
+    old key's row is its base's very object.  A key has one row at all its
+    levels, holding at least its own level's set."""
     levels = _compiled(q)
     assert list(levels) == [k for k, _ in q.levels]
     row_of: dict = {}
-    for k, (entries, terms, binds, rows) in levels.items():
+    for k, (entries, terms, binds, rows, violations) in levels.items():
         assert entries == q.entries_at(k)
         assert terms == [g.terms for g, _ in entries]
         assert len(binds) == len(rows) == len(entries)
         for (g, _), row in zip(entries, rows):
             assert len(row) >= k and row_of.setdefault(g, row) is row, (k, g)
+        assert all(x.level == k for x in violations)
     if q._base is None:
         return
     for k, old in _compiled(q._base).items():
         new = levels[k]
         if len(new[0]) == len(old[0]):
-            assert new is old, k
+            assert new is old and new[4] is old[4], k
         else:
             assert new[1][:len(old[1])] == old[1] and new[2][:len(old[2])] == old[2]
             assert all(x is y for x, y in zip(new[3], old[3])), k
+            assert new[4][:len(old[4])] == old[4], k
 
 
 def chain_points(q: StabilitySystem) -> list:

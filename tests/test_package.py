@@ -65,3 +65,26 @@ def test_every_private_function_and_class_is_used():
             and node.name.startswith("_") and not node.name.startswith("__")
             and used[node.name] <= _names(node)[node.name]]
     assert dead == []
+
+
+def test_only_the_compile_pass_and_base_at_most_walk_the_base_links():
+    """Outside the constructor, ``._base`` is read only where the links are
+    walked: ``_base_at_most`` picks a base and ``_compiled`` compiles and
+    validates the chain.  A second walk would repeat the compile pass."""
+    package = pathlib.Path(stabforce.__file__).parent
+    allowed = {"_init", "_base_at_most", "_compiled"}
+    seen, stray = set(), []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        inside = {}
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef) and func.name in allowed \
+                    and path.name == "stability.py":
+                inside.update((id(node), func.name) for node in ast.walk(func))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "_base":
+                if id(node) in inside:
+                    seen.add(inside[id(node)])
+                else:
+                    stray.append(f"{path.name}:{node.lineno}")
+    assert stray == [] and seen == allowed

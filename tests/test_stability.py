@@ -649,3 +649,122 @@ def test_format_ordinal_memo_matches_reference(terms):
     assert first == reference_format(a) == str(a)
     assert format_ordinal(a) is first  # memoized on the ordinal
     assert format_ordinal(Ordinal(terms)) == first
+
+
+# -- validation against a from-scratch check ----------------------------------------
+
+
+def reference_validate(p):
+    """V1-V5 checked key by key through the public queries, every level and
+    every key, with no base: the report before the compile pass made it."""
+    out = []
+    if not p.bound.is_successor:
+        out.append(("V1", 0, format_ordinal(p.bound), "bound must be a successor ordinal"))
+    for k, entries in p.levels:
+        for g, v in entries:
+            subject = format_ordinal(g)
+            if not g < p.bound:
+                out.append(("V2", k, subject, "key not below the bound"))
+                continue
+            if not dom_f(p, k, g):
+                out.append(("V2", k, subject, f"key not in the level-{k} domain"))
+                continue
+            if not v <= g:
+                out.append(("V3", k, subject, f"value {v} exceeds key"))
+            if v < g and (g.is_lim2 if k == 1 else is_k_lim2(p, k - 1, g)):
+                out.append(("V4", k, subject, f"value {v} at a lim2 point of the level-{k} "
+                            "chain; continuity forces the identity there"))
+            if not (v < g and le_k(p, k, v, g)):  # v == g is never stored
+                out.append(("V5", k, subject, f"value {v} not below key in the level-{k} order"))
+    return out
+
+
+def assert_validate_matches_reference(p, seen):
+    rep = validate(p)
+    got = [(x.check, x.level, x.subject, x.message) for x in rep.violations]
+    assert got == reference_validate(p), p
+    assert rep.valid == (not got)
+    seen.update(x.check for x in rep.violations)
+
+
+def random_raw_system(rng):
+    """A system from a dict: a limit or successor bound, keys at, above and
+    below it, lim2 keys and values above their keys, on up to three levels."""
+    bound = rng.choice([O("w*5"), O("w*5+1"), O("w^2"), O("w^2+1"), O("w^2*2+w+1")])
+    points = [w_plus(i, c) for i in range(1, 7) for c in (0, 0, 0, 1)]
+    points += [O("w^2"), O("w^2+w"), O("w^2*2"), O("w^2*2+w"), O("w^3")]
+    levels = {}
+    for _ in range(rng.randrange(1, 9)):
+        g = rng.choice(points)
+        roll = rng.random()
+        v = g + O(str(rng.randrange(1, 3))) if roll < 0.2 else rng.choice(
+            [w_plus(rng.randrange(6), rng.randrange(4)), O("w^2+3")])
+        levels.setdefault(rng.randrange(1, 4), {})[g] = v
+    return StabilitySystem(bound, levels)
+
+
+def grow_linked(rng, p, steps=3):
+    """p and the systems of a chain grown on it by ``with_bound`` and
+    ``with_exception``, with new keys at or above the old bound."""
+    out = [p]
+    for _ in range(steps):
+        top = p.bound if p.bound.is_limit else p.top
+        p = p.with_bound(top + O(rng.choice(["w", "w*2", "w^2"])) + O("1"))
+        out.append(p)
+        for _ in range(rng.randrange(3)):
+            key = top + O(rng.choice(["w", "w*2", "1"])) if top.terms else O("w")
+            value = rng.choice([O("0"), O("3"), key + O("1"), top, w_plus(1, 2)])
+            k = rng.randrange(1, 4)
+            if key < p.bound and p.exception_value(k, key) is None:
+                p = p.with_exception(k, key, value)
+                out.append(p)
+    return out
+
+
+def test_validate_matches_reference_on_random_systems_and_mutants():
+    rng = random.Random(61)
+    seen = set()
+    for _ in range(60):
+        p = random_system(rng)
+        assert_validate_matches_reference(p, seen)
+        assert_validate_matches_reference(mutate_system(rng, p), seen)
+    assert seen == {"V1", "V2", "V3", "V5"}
+
+
+def test_validate_matches_reference_on_chains_over_invalid_bases():
+    rng = random.Random(67)
+    seen, linked = set(), 0
+    for i in range(80):
+        base = random_invalid_system(rng) if i % 2 else mutate_system(rng, random_system(rng))
+        for q in grow_linked(rng, base):
+            assert_validate_matches_reference(q, seen)
+            linked += q._base is not None
+            assert_validate_matches_reference(StabilitySystem(q.bound, q._as_dict()), seen)
+    assert seen == {"V1", "V2", "V3", "V4", "V5"} and linked > 200
+
+
+def test_validate_matches_reference_on_raw_systems():
+    rng = random.Random(71)
+    seen = set()
+    for _ in range(300):
+        p = random_raw_system(rng)
+        assert_validate_matches_reference(p, seen)
+        for q in grow_linked(rng, p, steps=2):
+            assert_validate_matches_reference(q, seen)
+    assert seen == {"V1", "V2", "V3", "V4", "V5"}
+
+
+def test_validate_matches_reference_on_a_long_chain():
+    p = StabilitySystem(O("w+1"), {1: {O("w"): O("3")}})
+    for i in range(1, 3001):  # each key just above the last bound: one link per step
+        p = p.with_bound(w_plus(2 * i + 1, 1))
+        key = w_plus(2 * i, 0)
+        value = (O("2"), key + O("1"), w_plus(2 * i - 1, 1))[i % 3]
+        p = p.with_exception(1 + i % 2, key, value)
+    q, links = p, 0
+    while q._base is not None:
+        q, links = q._base, links + 1
+    assert links >= 3000
+    seen = set()
+    assert_validate_matches_reference(p, seen)
+    assert seen == {"V3", "V5"}
