@@ -21,15 +21,11 @@ from typing import Callable
 
 from .dot import export_dot
 from .errors import (
-    BadTargetError,
     BudgetExhaustedError,
     InvalidConditionError,
     InvalidIntermediateError,
-    NonCanonicalError,
     NotDescendingError,
     OrdinalSyntaxError,
-    OutOfBoundsError,
-    OutOfRangeError,
     TargetNotReachableError,
 )
 from .gen import mutate_system, random_chain, random_system, random_tower
@@ -81,10 +77,7 @@ _CHECK_FAILURES = {TargetNotReachableError: "target not reachable",
                    BudgetExhaustedError: "budget exhausted",
                    InvalidConditionError: "check failed",
                    InvalidIntermediateError: "check failed"}
-_INPUT_ERRORS = (OrdinalSyntaxError, NonCanonicalError, OutOfBoundsError,
-                 OutOfRangeError, BadTargetError,
-                 json.JSONDecodeError, ValueError, KeyError, OSError,
-                 argparse.ArgumentTypeError)
+_INPUT_ERRORS = (ValueError, KeyError, OSError, argparse.ArgumentTypeError)
 _INTEGER = re.compile(r"-?[0-9]+")
 
 

@@ -134,6 +134,10 @@ def extend_to_chain_limit(p: StabilitySystem, ell: int, target: Ordinal) -> Stab
     predecessor stretch makes it a level-ell limit but not a lim2 point, so
     the placed exception is continuity-legal.  Raises TargetNotReachableError
     when target cannot sit below the new top in the level-(ell+1) order.
+    The result q extends p at ell + 1 by construction: the bound grows, no
+    exception below bound(p) changes, and the only new key, at level ell + 1,
+    lies above top(p), so top(p) <=_ell top(q).  ``check_requirements``' R1
+    is the one extension check on the construction path.
     """
     if ell < 1:
         raise ValueError("ell must be >= 1")
@@ -141,9 +145,7 @@ def extend_to_chain_limit(p: StabilitySystem, ell: int, target: Ordinal) -> Stab
     if not target <= p.top:
         raise OutOfRangeError(f"target {target} must be at most the top {p.top}")
     lam = p.top + OMEGA
-    q = extend_with_top_exception(p, lam, ell + 1, target)
-    assert extends(q, p, ell + 1)
-    return q
+    return extend_with_top_exception(p, lam, ell + 1, target)
 
 
 # -- descending chains ---------------------------------------------------------
@@ -176,7 +178,7 @@ def chain_infimum(chain: ChainPresentation) -> StabilitySystem:
     level map at the new top is undefined, the liminf at a lim2 point, or the
     identity; all exception keys lie strictly below the target, so each case
     gives the default, and the result is the canonical extension of the last
-    condition.
+    condition: the last itself when the target is its top.
     """
     conds = chain.conditions
     _require_valid(*conds)
@@ -190,10 +192,8 @@ def chain_infimum(chain: ChainPresentation) -> StabilitySystem:
         raise BadTargetError(f"target {lam} must be a limit ordinal")
     if lam < last.top:
         raise BadTargetError(f"target {lam} is below the last condition's top {last.top}")
-    if lam == last.top:
-        if len(conds) < 2:
-            raise BadTargetError("target equals the only condition's top")
-        return last
+    if lam == last.top and len(conds) < 2:
+        raise BadTargetError("target equals the only condition's top")
     return canonical_extend(last, lam)
 
 
@@ -263,9 +263,7 @@ def top_chain_limit(ell: int, target: Ordinal) -> DenseSet:
     """Conditions whose top is a level-ell limit carrying level-(ell+1) value target."""
 
     def _accepts(p: StabilitySystem) -> bool:
-        top = p.top
-        return (dom_f(p, ell + 1, top) if top < p.bound else False) and \
-            p.exception_value(ell + 1, top) == target
+        return dom_f(p, ell + 1, p.top) and p.exception_value(ell + 1, p.top) == target
 
     def _refine(p: StabilitySystem) -> StabilitySystem:
         return extend_to_chain_limit(p, ell, target)

@@ -83,7 +83,7 @@ class StabilitySystem:
     costs only its new key.
     """
 
-    __slots__ = ("bound", "levels", "_hash", "_top", "_memo", "_compiled", "_report",
+    __slots__ = ("bound", "levels", "_top", "_memo", "_compiled", "_report",
                  "_base", "__weakref__")
 
     def __init__(self, bound: Ordinal, exceptions: Mapping[int, Mapping[Ordinal, Ordinal]] | None = None):
@@ -104,7 +104,6 @@ class StabilitySystem:
     def _init(self, bound: Ordinal, levels: Levels, base: "StabilitySystem | None") -> None:
         self.bound = bound
         self.levels = levels
-        self._hash = None
         self._top = None
         self._memo: dict = {}
         self._compiled: dict | None = None
@@ -197,10 +196,7 @@ class StabilitySystem:
                 and self.bound == other.bound and self.levels == other.levels)
 
     def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = self._hash = hash((self.bound, self.levels))
-        return h
+        return hash((self.bound, self.levels))
 
     def __repr__(self) -> str:
         lv = {k: {str(g): str(v) for g, v in entries} for k, entries in self.levels}

@@ -88,3 +88,13 @@ def test_only_the_compile_pass_and_base_at_most_walk_the_base_links():
                 else:
                     stray.append(f"{path.name}:{node.lineno}")
     assert stray == [] and seen == allowed
+
+
+def test_no_assert_statement_in_the_package():
+    """``python -O`` deletes every assert, so a check the program relies on
+    must raise; a fact proved by construction needs neither."""
+    package = pathlib.Path(stabforce.__file__).parent
+    asserts = [f"{path.name}:{node.lineno}" for path in sorted(package.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.Assert)]
+    assert asserts == []

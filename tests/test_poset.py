@@ -32,6 +32,7 @@ from stabforce.gen import random_chain, random_step, random_system, random_tower
 from stabforce.ordinal import OMEGA, Ordinal
 from stabforce.ordinal import parse_ordinal as O
 from stabforce.poset import _require_valid, extend_with_top_exception
+from stabforce.stability import probe_points
 
 
 def test_poset_params_invariants():
@@ -104,8 +105,9 @@ def test_chain_infimum_target_rules(pstar, qstar):
         chain_infimum(ChainPresentation((pstar,), O("w*5+1")))  # successor target
     with pytest.raises(BadTargetError):
         chain_infimum(ChainPresentation((pstar,), O("w*3")))  # equals only top
-    # target equal to the last top is allowed once the chain has length >= 2
-    assert chain_infimum(ChainPresentation((pstar, qstar), O("w*4"), ell=2)) == qstar
+    # target equal to the last top is allowed once the chain has length >= 2,
+    # and gives the last condition itself
+    assert chain_infimum(ChainPresentation((pstar, qstar), O("w*4"), ell=2)) is qstar
 
 
 def test_chain_json_roundtrip(pstar, qstar):
@@ -194,6 +196,42 @@ def test_random_chain_infima_match_canonical():
         assert inf == canonical_extend(r, target)
         for cond in (p, q, r):
             assert extends(inf, cond, 1)
+        assert chain_infimum(ChainPresentation((p, q, r), r.top)) is r
+        with pytest.raises(BadTargetError):
+            chain_infimum(ChainPresentation((r,), r.top))
+
+
+def test_random_chain_limits_extend_at_the_next_level():
+    # extend_to_chain_limit does not re-check its result; this is that check
+    rng = random.Random(18)
+    made = 0
+    for _ in range(25):
+        p = random_system(rng, max_steps=4)
+        targets = [t for t in probe_points(p) if t <= p.top]
+        for ell in range(1, p.depth + 2):
+            for t in targets:
+                try:
+                    q = extend_to_chain_limit(p, ell, t)
+                except TargetNotReachableError:
+                    continue
+                made += 1
+                assert extends(q, p, ell + 1)
+    assert made >= 200
+
+
+def test_top_chain_limit_accepts_as_the_guarded_test():
+    rng = random.Random(19)
+    seen = set()
+    for _ in range(40):
+        p = random_system(rng)
+        top = p.top
+        for ell in range(1, p.depth + 2):
+            for target in {top, *(v for _, e in p.levels for _, v in e)}:
+                guarded = (dom_f(p, ell + 1, top) if top < p.bound else False) and \
+                    p.exception_value(ell + 1, top) == target
+                assert top_chain_limit(ell, target).accepts(p) == guarded
+                seen.add(guarded)
+    assert seen == {True, False}
 
 
 def test_chain_limit_top_is_fresh_limit():

@@ -1,4 +1,5 @@
 import dataclasses
+import random
 
 import pytest
 
@@ -9,6 +10,7 @@ from stabforce import (
     check_requirements,
     check_tree_properties,
     derive_assignments,
+    extends,
     le_k,
     lt_k,
     minimality_report,
@@ -24,6 +26,7 @@ from stabforce.ordinal import parse_ordinal as O
 from stabforce.poset import canonical_extend
 from stabforce.simulate import TraceStep, make_pattern, minimality_to_dict
 from stabforce.stability import dom_f, probe_points
+from test_incremental import random_pattern
 
 
 def levels_of(p: StabilitySystem) -> dict:
@@ -166,6 +169,24 @@ def test_construction_nonadjacent_gamma():
         [("w*6", "w*20", 1), ("w*6", "w*40", 1)])
     r = run_construction(pattern)
     assert r.outcome_at(O("w*40")).gamma == O("w*7")
+
+
+def test_every_construction_step_extends_its_predecessor():
+    # run_construction does not re-check the extensions it builds; this is
+    # that check, made on seeded constructions of 3 to 10 points
+    rng = random.Random(61)
+    built = 0
+    for n in (3, 3, 3, 3, 6, 6, 10, 10, 10, 10):
+        pattern = random_pattern(rng, n, adjacent_only=True)
+        try:
+            r = run_construction(pattern)
+        except TargetNotReachableError:
+            continue
+        built += 1
+        for prev, step in zip(r.trace, r.trace[1:]):
+            assert extends(step.system, prev.system, step.level), step.label
+        assert not [v for v in check_requirements(r, pattern).violations if v.check == "R1"]
+    assert built >= 6
 
 
 # -- requirement checks ------------------------------------------------------------
