@@ -273,6 +273,8 @@ def cmd_export_dot(args) -> int:
 
 
 def _selftest_failures(seed: int, systems: int) -> list[str]:
+    if systems < 0:
+        raise ValueError("systems must be >= 0")
     rng = random.Random(seed)
     failures: list[str] = []
 

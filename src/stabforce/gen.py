@@ -17,6 +17,7 @@ from .stability import StabilitySystem, pred_set
 
 W2 = Ordinal(((2, 1),))
 W3 = Ordinal(((3, 1),))
+MAX_LEVEL, MAX_EXCEPTIONS, MAX_STEP_LEVEL = 4, 6, 3  # random_system's, then random_step's
 
 
 def _sample_member(rng: random.Random, s, extra=()) -> Ordinal | None:
@@ -37,8 +38,8 @@ def _sample_member(rng: random.Random, s, extra=()) -> Ordinal | None:
     return uniq[rng.randrange(len(uniq))]
 
 
-def random_system(rng: random.Random, *, max_steps: int = 5, max_level: int = 4,
-                  max_exceptions: int = 6, small: bool = False) -> StabilitySystem:
+def random_system(rng: random.Random, *, max_steps: int = 5,
+                  small: bool = False) -> StabilitySystem:
     """A valid random system; ``small`` keeps the bound below w*12."""
     p = StabilitySystem(Ordinal.from_int(rng.randrange(1, 4)))
     cap = Ordinal(((1, 11),)) if small else Ordinal(((3, 4),))
@@ -48,8 +49,8 @@ def random_system(rng: random.Random, *, max_steps: int = 5, max_level: int = 4,
         lam = p.top + OMEGA
         if not lam <= cap:
             break
-        if action < 0.55 and placed < max_exceptions:
-            level = rng.randrange(1, max_level + 1)
+        if action < 0.55 and placed < MAX_EXCEPTIONS:
+            level = rng.randrange(1, MAX_LEVEL + 1)
             base = canonical_extend(p, lam)
             value = _sample_member(rng, pred_set(base, level, lam),
                                    extra=[v for _, e in p.levels for _, v in e])
@@ -69,13 +70,13 @@ def random_system(rng: random.Random, *, max_steps: int = 5, max_level: int = 4,
 ALL_LEVELS_GUARANTEE = 8
 
 
-def random_step(rng: random.Random, p: StabilitySystem, *, max_level: int = 3,
+def random_step(rng: random.Random, p: StabilitySystem, *,
                 small: bool = False) -> tuple[StabilitySystem, int]:
     """One extension step; returns (result, level the step is guaranteed to extend at)."""
     if rng.random() < 0.5:
         jump = OMEGA if small else rng.choice([OMEGA, Ordinal(((1, 3),)), W2])
         return canonical_extend(p, p.top + jump), ALL_LEVELS_GUARANTEE
-    ell = rng.randrange(1, max_level + 1)
+    ell = rng.randrange(1, MAX_STEP_LEVEL + 1)
     lam = p.top + OMEGA
     base = canonical_extend(p, lam)
     reachable = pred_set(base, ell + 1, lam).filter_below(p.top + Ordinal.from_int(1))

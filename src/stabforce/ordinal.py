@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import re
 import sys
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -350,11 +350,23 @@ class IntervalSet:
                 out.append(OrdinalInterval(lo, hi))
         return IntervalSet._normalized(out)
 
+    def cut(self, lo: Ordinal, hi: Ordinal) -> "IntervalSet":
+        """The members in [lo, hi), found by two bisections; empty unless lo < hi."""
+        if not lo.terms < hi.terms:
+            return IntervalSet._normalized(())
+        ivs = self.intervals
+        out = list(ivs[bisect_right(ivs, lo.terms, key=_high_key):
+                       bisect_left(ivs, hi.terms, key=_low_key)])
+        if out:
+            if out[0].low.terms < lo.terms:
+                out[0] = OrdinalInterval(lo, out[0].high)
+            if hi.terms < out[-1].high.terms:
+                out[-1] = OrdinalInterval(out[-1].low, hi)
+        return IntervalSet._normalized(out)
+
     def filter_below(self, alpha: Ordinal) -> "IntervalSet":
         """Members strictly below alpha."""
-        if alpha.is_zero:
-            return IntervalSet()
-        return self.intersect(IntervalSet.of((ZERO, alpha)))
+        return self.cut(ZERO, alpha)
 
     def __iter__(self) -> Iterator[OrdinalInterval]:
         return iter(self.intervals)

@@ -261,6 +261,8 @@ def taller_than(alpha: Ordinal) -> DenseSet:
 
 def top_chain_limit(ell: int, target: Ordinal) -> DenseSet:
     """Conditions whose top is a level-ell limit carrying level-(ell+1) value target."""
+    if ell < 1:
+        raise ValueError("ell must be >= 1")
 
     def _accepts(p: StabilitySystem) -> bool:
         return dom_f(p, ell + 1, p.top) and p.exception_value(ell + 1, p.top) == target
@@ -290,6 +292,8 @@ def meet_dense(p: StabilitySystem, dense: Sequence[DenseSet],
     none, since V3 keeps those values at or below p.top.  The canonical step
     carries no exception at its top, so the failed set cannot accept it.
     """
+    if budget < 0:
+        raise ValueError("budget must be >= 0")
     _require_valid(p)
     current = p
     trace: list[tuple[str, StabilitySystem]] = [("start", p)]

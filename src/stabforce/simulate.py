@@ -18,13 +18,13 @@ from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .errors import InvalidConditionError
-from .ordinal import OMEGA, ZERO, IntervalSet, Ordinal, format_ordinal, parse_ordinal
+from .ordinal import OMEGA, ZERO, Ordinal, format_ordinal, parse_ordinal
 from .poset import canonical_extend, extend_to_chain_limit, extend_with_top_exception, extends
 from .stability import (
     CheckReport,
     StabilitySystem,
     Violation,
-    _compiled,
+    _blocking_witness,
     _pred,
     disagreeing_levels,
     dom_f,
@@ -268,6 +268,8 @@ def check_requirements(result: SimulationResult, pattern: StabilityPattern) -> C
     violations: list[Violation] = []
     g = result.g
     for prev, nxt in zip(result.trace, result.trace[1:]):
+        if nxt.level is not None and extends(nxt.system, prev.system, nxt.level):
+            continue  # so the bound grows and no level disagrees
         if not nxt.system.bound >= prev.system.bound:
             violations.append(Violation("R1", 0, format_ordinal(nxt.system.top),
                                         "bounds must be non-decreasing along the trace"))
@@ -276,7 +278,7 @@ def check_requirements(result: SimulationResult, pattern: StabilityPattern) -> C
             violations.append(Violation(
                 "R1", k, format_ordinal(nxt.system.top),
                 "trace step rewrites exceptions below the previous bound"))
-        if nxt.level is not None and not extends(nxt.system, prev.system, nxt.level):
+        if nxt.level is not None:
             violations.append(Violation("R1", nxt.level, format_ordinal(nxt.system.top),
                                         "trace step is not a verified extension"))
     assignments = derive_assignments(pattern)
@@ -396,20 +398,6 @@ def minimality_report(result: SimulationResult, grid: Iterable[Ordinal]) -> Mini
     survivors = tuple(f.alpha for f in fates if f.settled and sets[-1].member(f.alpha))
     return MinimalityReport(theta=theta, last_key=last_key,
                             fates=tuple(fates), survivors=survivors)
-
-
-def _blocking_witness(g: StabilitySystem, k: int, alpha: Ordinal,
-                      below: IntervalSet) -> tuple[int, Ordinal, Ordinal]:
-    """(k, key, value) for the least level-k key that keeps alpha out of
-    ``P_k(theta)``, given alpha in ``below`` = ``P_{k-1}(theta)``.
-
-    One always exists: by the definition of the order, such an alpha has a
-    level-k key g in (alpha, theta] valued below alpha that constrains theta.
-    All keys of g lie below theta, so that is: g binds and is in ``below``.
-    """
-    entries, _, binds, _, _ = _compiled(g)[k]
-    return next((k, key, value) for (key, value), bind in zip(entries, binds)
-                if bind and alpha < key and value < alpha and below.member(key))
 
 
 # -- JSON ------------------------------------------------------------------------

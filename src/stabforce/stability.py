@@ -21,7 +21,7 @@ the a with a <_k b, and every order query is membership in it.  Every level
 order is a tree order, for valid and invalid systems alike, so the level-k
 keys that constrain b are those that constrain its nearest constraining key
 g*, plus b itself.  Each level's set is therefore g*'s set, joined with the
-slice of the level-(k-1) set from g* to b and cut by b's own value.  As
+level-(k-1) set cut to [g*, b), and cut by b's own value.  As
 a <_k b implies a <_{k-1} b, a point's sets shrink level by level into one
 row ``P_1(b) >= P_2(b) >= ...``, memoized per point and grown upward on
 demand.  Each level's keys are compiled once, in ascending order, into their
@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import json
 import re
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import asdict, dataclass
 from json.encoder import encode_basestring_ascii as _quote
 from operator import itemgetter
@@ -48,8 +48,6 @@ from .ordinal import (
     Ordinal,
     OrdinalInterval,
     _brief,
-    _high_key,
-    _low_key,
     _nat,
     format_ordinal,
     parse_ordinal,
@@ -530,44 +528,37 @@ def _compiled(p: StabilitySystem) -> dict:
     return p._compiled
 
 
+def _blocking_witness(g: StabilitySystem, k: int, alpha: Ordinal,
+                      below: IntervalSet) -> tuple[int, Ordinal, Ordinal]:
+    """(k, key, value) for the least level-k key that keeps alpha out of
+    ``P_k(b)``, given alpha in ``below`` = ``P_{k-1}(b)``, at a b above g's keys.
+
+    One always exists: by the definition of the order, such an alpha has a
+    level-k key in (alpha, b] valued below alpha that constrains b.  As b is
+    above every key, that is: the key binds and is in ``below``.
+    """
+    entries, _, binds, _, _ = _compiled(g)[k]
+    return next((k, key, value) for (key, value), bind in zip(entries, binds)
+                if bind and alpha < key and value < alpha and below.member(key))
+
+
 def _step(entries: Entries, binds: list[bool], rows: list[list[IntervalSet]], j: int,
           i: int, below: IntervalSet, cap: Ordinal) -> IntervalSet:
     """P_j(b) by ``_pred``'s recurrence, for a point b above the first i keys
     of level j, from ``below`` = P_{j-1}(b) and b's cap: v_b + 1 when b
-    binds, else b.  With no g* and a cap that cuts nothing, that is
-    ``below`` itself."""
+    binds, else b.  That is ``P_j(g*)`` cut at the cap when the cap cuts into
+    it, else ``P_j(g*)`` followed by ``below`` cut to [g*, cap); with no g*,
+    ``below`` itself when the cap cuts nothing, else ``below`` cut at it."""
     for i in range(i - 1, -1, -1):
         if binds[i] and below.member(entries[i][0]):
-            return _join(rows[i][j - 1], below, entries[i][0], cap)
+            ivs = rows[i][j - 1].intervals
+            if ivs and cap.terms < ivs[-1].high.terms:
+                return rows[i][j - 1].cut(ZERO, cap)
+            return IntervalSet._normalized(ivs + below.cut(entries[i][0], cap).intervals)
     ivs = below.intervals
     if not ivs or ivs[-1].high.terms <= cap.terms:
         return below
-    return _join(None, below, ZERO, cap)
-
-
-def _join(head: IntervalSet | None, below: IntervalSet, lo: Ordinal,
-          hi: Ordinal) -> IntervalSet:
-    """(head u (below n [lo, hi))) n [0, hi), for a ``head`` (None when empty)
-    that ends below ``lo``."""
-    ivs = head.intervals if head is not None else ()
-    if ivs and hi.terms < ivs[-1].high.terms:
-        return IntervalSet._normalized(_slice(ivs, ZERO, hi))
-    if lo.terms < hi.terms:
-        ivs += tuple(_slice(below.intervals, lo, hi))
-    return IntervalSet._normalized(ivs)
-
-
-def _slice(ivs: tuple[OrdinalInterval, ...], lo: Ordinal,
-           hi: Ordinal) -> list[OrdinalInterval]:
-    """The pieces of normalized intervals inside [lo, hi), found by bisection."""
-    out = list(ivs[bisect_right(ivs, lo.terms, key=_high_key):
-                   bisect_left(ivs, hi.terms, key=_low_key)])
-    if out:
-        if out[0].low.terms < lo.terms:
-            out[0] = OrdinalInterval(lo, out[0].high)
-        if hi.terms < out[-1].high.terms:
-            out[-1] = OrdinalInterval(out[-1].low, hi)
-    return out
+    return below.cut(ZERO, cap)
 
 
 def _is_limit(p: StabilitySystem, k: int, beta: Ordinal) -> bool:

@@ -360,3 +360,14 @@ def test_extend_of_an_invalid_system_fails_like_generic(capsys, tmp_path, argv):
 def test_level_zero_is_an_input_error(capsys, system_file, argv):
     assert run_cli(capsys, *argv, system_file) == (
         2, "", "input error: level must be >= 1\n")
+
+
+@pytest.mark.parametrize("ell", ["0", "-1"])
+@pytest.mark.parametrize("levels", [{"1": {"w*3": "5"}}, {"1": {"w*2": "5"}}, {}])
+def test_top_chain_limit_below_level_one_is_an_input_error(capsys, tmp_path, levels, ell):
+    # the first system's top already carries a level-1 exception, so a level-0
+    # dense set would be met at once, without its refiner ever being asked
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"bound": "w*3+1", "levels": levels}), encoding="utf-8")
+    assert run_cli(capsys, "generic", "--dense", f"top_chain_limit:{ell}:5", str(path)) == (
+        2, "", "input error: ell must be >= 1\n")

@@ -218,6 +218,12 @@ INTEGER_SLOTS = {
     "selftest --seed": ["selftest", "--seed={}"],
     "selftest --systems": ["selftest", "--systems={}"],
 }
+# a count below 0 is refused with one line that does not echo it; 0 is a count
+COUNT_SLOTS = {
+    "generic --budget": (["generic", "--budget={}", "--dense", "taller_than:w*5"],
+                         "budget must be >= 0"),
+    "selftest --systems": (["selftest", "--systems={}"], "systems must be >= 0"),
+}
 ORDINAL_SLOTS = {
     "rel a": ["rel", "--k", "1", "--", "{}", "w*2"],
     "rel b": ["rel", "--k", "1", "--", "5", "{}"],
@@ -343,6 +349,20 @@ def test_huge_integer_option_is_named_not_echoed(tmp_path, slot):
     code, out, err = run_args(tmp_path, [a.replace("{}", HUGE) for a in INTEGER_SLOTS[slot]])
     assert_short_refusal(code, out, err)
     assert "5000 digits" in err and "9" * 50 not in err
+
+
+@pytest.mark.parametrize("value", ["-1", "-4", "-5", "-123456789"])
+@pytest.mark.parametrize("slot", sorted(COUNT_SLOTS))
+def test_negative_count_is_an_input_error(tmp_path, slot, value):
+    argv, message = COUNT_SLOTS[slot]
+    code, out, err = run_args(tmp_path, [a.replace("{}", value) for a in argv])
+    assert (code, out, err) == (2, "", f"input error: {message}\n")
+
+
+@pytest.mark.parametrize("slot", sorted(COUNT_SLOTS))
+def test_zero_count_is_allowed(tmp_path, slot):
+    code, out, err = run_args(tmp_path, [a.replace("{}", "0") for a in COUNT_SLOTS[slot][0]])
+    assert code in (0, 1) and "input error" not in err, err
 
 
 @pytest.mark.parametrize("slot", ["rel a", "rel b", "preds b"])

@@ -5,12 +5,15 @@ down from the point to its nearest constraining key g*, and ``descend``
 computes an uncached ``P_j(g*)`` with the running minimum of the caps below
 it.  Sets are cached per system, at the oldest system on the end-extension
 chain whose bound exceeds the point, found by walking the ``_base`` links one
-at a time.  Every answer of the public API, and every validation report, must
-equal the reference's on well over a thousand systems, linked ones included.
+at a time.  Its set operations ``_segment``, ``_join`` and ``_slice`` are
+copied here as that kernel had them, so the reference shares no set code
+with the kernel it checks.  Every answer of the public API, and every
+validation report, must equal the reference's on well over a thousand
+systems, linked ones included.
 """
 
 import random
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 
 from stabforce import (
     StabilitySystem,
@@ -25,23 +28,60 @@ from stabforce import (
 )
 from stabforce.errors import TargetNotReachableError
 from stabforce.gen import mutate_system, random_system
-from stabforce.ordinal import OMEGA, ONE, ZERO, IntervalSet, format_ordinal
+from stabforce.ordinal import (
+    OMEGA,
+    ONE,
+    ZERO,
+    IntervalSet,
+    Ordinal,
+    OrdinalInterval,
+    _high_key,
+    _low_key,
+    format_ordinal,
+)
 from stabforce.poset import canonical_extend, extend_to_chain_limit, extend_with_top_exception
 from stabforce.simulate import run_construction
 from stabforce.stability import (
     ValidationReport,
     Violation,
     _entry_key,
-    _join,
     _pred,
-    _segment,
-    _slice,
     system_from_json,
     system_to_json,
 )
 from test_stability import _chain_pattern, random_invalid_system
 
 GRID = 8  # points queried per system, pairs included
+
+
+def _segment(beta: Ordinal) -> IntervalSet:
+    """[0, beta), the level-0 predecessor set."""
+    return IntervalSet._normalized((OrdinalInterval(ZERO, beta),) if beta.terms else ())
+
+
+def _join(head: IntervalSet | None, below: IntervalSet, lo: Ordinal,
+          hi: Ordinal) -> IntervalSet:
+    """(head u (below n [lo, hi))) n [0, hi), for a ``head`` (None when empty)
+    that ends below ``lo``."""
+    ivs = head.intervals if head is not None else ()
+    if ivs and hi.terms < ivs[-1].high.terms:
+        return IntervalSet._normalized(_slice(ivs, ZERO, hi))
+    if lo.terms < hi.terms:
+        ivs += tuple(_slice(below.intervals, lo, hi))
+    return IntervalSet._normalized(ivs)
+
+
+def _slice(ivs: tuple[OrdinalInterval, ...], lo: Ordinal,
+           hi: Ordinal) -> list[OrdinalInterval]:
+    """The pieces of normalized intervals inside [lo, hi), found by bisection."""
+    out = list(ivs[bisect_right(ivs, lo.terms, key=_high_key):
+                   bisect_left(ivs, hi.terms, key=_low_key)])
+    if out:
+        if out[0].low.terms < lo.terms:
+            out[0] = OrdinalInterval(lo, out[0].high)
+        if hi.terms < out[-1].high.terms:
+            out[-1] = OrdinalInterval(out[-1].low, hi)
+    return out
 
 
 def ref_owner(p, beta):

@@ -249,9 +249,28 @@ _wide_interval_sets = st.lists(
 ).map(lambda pairs: IntervalSet.of(*[(a, b) for a, b in pairs if a < b]))
 
 
-@given(_wide_interval_sets, _wide_interval_sets)
-def test_merge_intersect_matches_nested_loop(s, t):
+def intersect_filter_below(s, alpha):
+    """``filter_below`` as it was before ``cut``: an intersect with [0, alpha)."""
+    if alpha.is_zero:
+        return IntervalSet()
+    return s.intersect(IntervalSet.of((ZERO, alpha)))
+
+
+@given(_wide_interval_sets, _wide_interval_sets, _ordinals, _ordinals)
+def test_merge_intersect_matches_nested_loop(s, t, x, y):
+    """``intersect`` and ``cut`` both match the nested loop.  ``cut`` is asked
+    for every pair of ends among 0, x, y and s's interval ends, so its ends
+    fall on, inside, between and outside s's intervals, in either order."""
     assert s.intersect(t).intervals == nested_loop_intersect(s, t).intervals
+    points = [ZERO, x, y] + [e for iv in s.intervals for e in (iv.low, iv.high)]
+    for lo in points:
+        for hi in points:
+            cut = s.cut(lo, hi)
+            if lo < hi:
+                assert cut.intervals == nested_loop_intersect(s, IntervalSet.of((lo, hi))).intervals
+            else:
+                assert cut.is_empty
+        assert s.filter_below(lo) == intersect_filter_below(s, lo)
 
 
 @given(_wide_interval_sets)

@@ -189,6 +189,37 @@ def test_every_construction_step_extends_its_predecessor():
     assert built >= 6
 
 
+def test_r1_checks_each_valid_step_with_one_agreement_test(monkeypatch, pattern_p2, pattern_p3):
+    # R1 asks ``extends`` first and lists the rewritten levels only for a step
+    # that fails it, so a valid construction costs one agreement test a step
+    import stabforce.poset
+    import stabforce.simulate
+    from stabforce.stability import disagreeing_levels
+
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return disagreeing_levels(*args)
+
+    monkeypatch.setattr(stabforce.poset, "disagreeing_levels", counting)
+    monkeypatch.setattr(stabforce.simulate, "disagreeing_levels", counting)
+    rng = random.Random(62)
+    patterns = [pattern_p2, pattern_p3] + [random_pattern(rng, n, adjacent_only=True)
+                                           for n in (3, 6, 10)]
+    checked = 0
+    for pattern in patterns:
+        try:
+            r = run_construction(pattern)
+        except TargetNotReachableError:
+            continue
+        calls.clear()
+        assert check_requirements(r, pattern).passed
+        assert len(calls) == len(r.trace) - 1
+        checked += 1
+    assert checked >= 3
+
+
 # -- requirement checks ------------------------------------------------------------
 
 
