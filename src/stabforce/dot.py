@@ -9,11 +9,12 @@ result a forest.  Output lines are sorted, so equal inputs give equal bytes.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Iterable
 
 from .errors import OutOfBoundsError
 from .ordinal import Ordinal, _brief, format_ordinal
-from .stability import StabilitySystem, lt_k
+from .stability import StabilitySystem, pred_set
 
 W_SQUARED = Ordinal(((2, 1),))
 
@@ -57,12 +58,15 @@ def export_dot(p: StabilitySystem, k: int, marks: Iterable[Ordinal] = ()) -> str
             attrs.append("penwidth=2")
         suffix = f" [{', '.join(attrs)}]" if attrs else ""
         lines.append(f'  "{format_ordinal(node)}"{suffix};')
-    for j, beta in enumerate(nodes):
-        parent = None
-        for alpha in nodes[:j]:
-            if lt_k(p, k, alpha, beta):
-                parent = alpha  # predecessors are linearly ordered; keep the largest
-        if parent is not None:
-            lines.append(f'  "{format_ordinal(parent)}" -> "{format_ordinal(beta)}";')
+    terms = [node.terms for node in nodes]
+    for j in range(1, len(nodes)):
+        # predecessors are linearly ordered, so the parent is the largest
+        # smaller node in beta's predecessor set: walk its intervals down
+        beta = nodes[j]
+        for iv in reversed(pred_set(p, k, beta).intervals):
+            i = bisect_left(terms, iv.high.terms, 0, j) - 1
+            if i >= 0 and iv.low.terms <= terms[i]:
+                lines.append(f'  "{format_ordinal(nodes[i])}" -> "{format_ordinal(beta)}";')
+                break
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -271,6 +271,21 @@ def _high_key(iv: OrdinalInterval) -> Terms:
     return iv.high.terms
 
 
+def _cut(ivs: tuple[OrdinalInterval, ...], lo: Ordinal, hi: Ordinal) -> tuple[OrdinalInterval, ...]:
+    """The pieces in [lo, hi) of the normalized intervals ``ivs``, as a
+    normalized tuple; empty unless lo < hi."""
+    if not lo.terms < hi.terms:
+        return ()
+    out = list(ivs[bisect_right(ivs, lo.terms, key=_high_key):
+                   bisect_left(ivs, hi.terms, key=_low_key)])
+    if out:
+        if out[0].low.terms < lo.terms:
+            out[0] = OrdinalInterval(lo, out[0].high)
+        if hi.terms < out[-1].high.terms:
+            out[-1] = OrdinalInterval(out[-1].low, hi)
+    return tuple(out)
+
+
 class IntervalSet:
     """Finite union of disjoint, non-adjacent, sorted half-open intervals.
 
@@ -352,17 +367,7 @@ class IntervalSet:
 
     def cut(self, lo: Ordinal, hi: Ordinal) -> "IntervalSet":
         """The members in [lo, hi), found by two bisections; empty unless lo < hi."""
-        if not lo.terms < hi.terms:
-            return IntervalSet._normalized(())
-        ivs = self.intervals
-        out = list(ivs[bisect_right(ivs, lo.terms, key=_high_key):
-                       bisect_left(ivs, hi.terms, key=_low_key)])
-        if out:
-            if out[0].low.terms < lo.terms:
-                out[0] = OrdinalInterval(lo, out[0].high)
-            if hi.terms < out[-1].high.terms:
-                out[-1] = OrdinalInterval(out[-1].low, hi)
-        return IntervalSet._normalized(out)
+        return IntervalSet._normalized(_cut(self.intervals, lo, hi))
 
     def filter_below(self, alpha: Ordinal) -> "IntervalSet":
         """Members strictly below alpha."""

@@ -21,7 +21,7 @@ from .errors import (
     OutOfRangeError,
     TargetNotReachableError,
 )
-from .ordinal import OMEGA, Ordinal, format_ordinal, parse_ordinal
+from .ordinal import OMEGA, Ordinal, _brief, format_ordinal, parse_ordinal
 from .stability import (
     StabilitySystem,
     disagreeing_levels,
@@ -54,7 +54,7 @@ class PosetParams:
 def _require_valid(*systems: StabilitySystem) -> None:
     for p in systems:
         if not validate(p).valid:
-            raise InvalidConditionError(f"not a valid stability system: {p!r}")
+            raise InvalidConditionError(f"not a valid stability system: {_brief(repr(p))}")
 
 
 def in_poset(p: StabilitySystem, params: PosetParams) -> bool:

@@ -48,6 +48,7 @@ from .ordinal import (
     Ordinal,
     OrdinalInterval,
     _brief,
+    _cut,
     _nat,
     format_ordinal,
     parse_ordinal,
@@ -554,7 +555,7 @@ def _step(entries: Entries, binds: list[bool], rows: list[list[IntervalSet]], j:
             ivs = rows[i][j - 1].intervals
             if ivs and cap.terms < ivs[-1].high.terms:
                 return rows[i][j - 1].cut(ZERO, cap)
-            return IntervalSet._normalized(ivs + below.cut(entries[i][0], cap).intervals)
+            return IntervalSet._normalized(ivs + _cut(below.intervals, entries[i][0], cap))
     ivs = below.intervals
     if not ivs or ivs[-1].high.terms <= cap.terms:
         return below
@@ -652,7 +653,35 @@ def check_tree_properties(p: StabilitySystem, k: int,
                           probe: Iterable[Ordinal] | None = None) -> CheckReport:
     """Verify on all probe triples that the level-k order is transitive,
     antisymmetric, interpolates against level k+1, and that predecessor sets
-    are closed below their point."""
+    are closed below their point.
+
+    All of these are theorems, for valid and invalid systems alike; the probe
+    scan is their runtime test, as the oracle is the kernel's.  With a <_k b
+    written for membership in ``P_k(b)``:
+
+    - (T) and (L), transitivity and the linearity of predecessors, are proved
+      in ``_pred``'s docstring, by induction on the level.  Their reflexive
+      forms follow, as an equality makes them trivial.
+    - Antisymmetry: a <_k b implies a <_{k-1} b by the first clause of the
+      definition, and so, down to level 0, a < b.  Both directions would give
+      a < b < a.
+    - Interpolation: a <= b <=_k c and a <=_{k+1} c imply a <=_{k+1} b.  The
+      cases a = b and b = c are trivial, so let a < b <_k c.  Then
+      a <_{k+1} c, so a <_k c, and a <_k b by (L).  A level-(k+1) domain
+      point g in (a, b] with g <=_k b has g <=_k c by (T) and lies in (a, c],
+      so f_{k+1}(g) >= a.  Hence a <_{k+1} b.
+    - Closure: every interval of ``P_k(b)`` ends at b or at a successor.  By
+      induction on the level and, within a level, on b, over how ``_pred``
+      builds the set.  ``_segment(b)`` is the one interval [0, b).  A level
+      with no keys copies the set below.  ``_step`` cuts pieces of
+      ``P_{j-1}(b)`` and of ``P_j(g*)`` at a cap that is b or v_b + 1; a cut
+      moves only the end it cuts, to the cap, and cutting at a low end moves
+      no end.  Every end of ``P_{j-1}(b)`` is b or a successor by induction.
+      Every end of ``P_j(g*)`` is g* or a successor by induction, and at most
+      v_{g*} + 1 < g*, as g* binds and its own step capped it there, so it is
+      a successor.  The two pieces never touch (see ``_pred``), so their
+      union merges no interval and keeps these ends.
+    """
     pts = tuple(sorted(set(probe if probe is not None else probe_points(p)),
                        key=lambda a: a.terms))
     n = len(pts)
@@ -693,30 +722,41 @@ def check_tree_properties(p: StabilitySystem, k: int,
 
 
 def check_predecessor_laws(p: StabilitySystem, k: int,
-                 probe: Iterable[Ordinal] | None = None) -> CheckReport:
+                           probe: Iterable[Ordinal] | None = None) -> CheckReport:
     """Largest-predecessor and unboundedness facts for the level-k map.
 
     A below-identity value must be the maximum of the predecessor set of its
     key; an identity value at a lim2 point of the level-(k-1) chain must have
-    predecessors cofinal in the point.  The second clause is scanned over the
-    probe grid (default values off the grid behave uniformly).
+    predecessors cofinal in the point.  Both are decided without probing a
+    point, from level k of the compile pass (``_compiled``); ``probe`` is
+    accepted for the callers that pass one, and not read.
+
+    Largest predecessor.  The keys the clause asks about, level-k domain
+    points valued below themselves, are those the pass flags as binding.  A
+    binding key's ``P_k(g)`` is cut at v + 1, so its maximum is v iff v is in
+    ``P_k(g)``, which is V5's ``own.member(v)``.  So the violations are the
+    binding keys below the bound whose row does not hold v at level k, in key
+    order.  A key at or above the bound is reported by ``validate`` as V2.
+
+    Unboundedness holds in every system, so it is never reported.  Let alpha
+    be a level-(k-1) lim2 point with f_k(alpha) = alpha.  Identity values are
+    not stored, so alpha is no level-k key and caps nothing, and by
+    ``_pred``'s recurrence ``P_k(alpha)`` contains ``P_{k-1}(alpha)`` cut to
+    [g*, alpha), or all of ``P_{k-1}(alpha)`` when there is no g*.  By
+    ``_is_lim2`` the top interval of ``P_{k-1}(alpha)`` ends at alpha, and
+    g* < alpha, so ``P_k(alpha)`` ends at the limit alpha too: alpha is a
+    level-k limit.
     """
     violations: list[Violation] = []
-    for g, v in p.entries_at(k):
-        if v < g and dom_f(p, k, g):
-            s = pred_set(p, k, g)
-            if s.is_empty or not s.has_max() or s.max_element() != v:
-                got = "none" if s.is_empty or not s.has_max() else str(s.max_element())
-                violations.append(Violation(
-                    "largest-predecessor", k, format_ordinal(g),
-                    f"value {v} is not the largest strict predecessor (got {got})"))
-    pts = tuple(probe if probe is not None else probe_points(p))
-    for alpha in pts:
-        if _is_lim2(p, k - 1, alpha) and f_eval(p, k, alpha) == alpha \
-                and not is_k_limit(p, k, alpha):
+    entries, _, binds, rows, _ = _compiled(p).get(k) or ((), (), (), (), ())
+    bound = p.bound.terms
+    for (g, v), bind, row in zip(entries, binds, rows):
+        s = row[k - 1]
+        if bind and g.terms < bound and not s.member(v):
+            got = s.max_element() if s.intervals and s.has_max() else "none"
             violations.append(Violation(
-                "unboundedness", k, format_ordinal(alpha),
-                "identity value but predecessors not cofinal"))
+                "largest-predecessor", k, format_ordinal(g),
+                f"value {v} is not the largest strict predecessor (got {got})"))
     return CheckReport(name=f"largest-predecessor/unboundedness level {k}",
                        violations=tuple(violations))
 

@@ -352,6 +352,22 @@ def test_extend_of_an_invalid_system_fails_like_generic(capsys, tmp_path, argv):
     assert run_cli(capsys, "generic", str(bad)) == (1, "", message)
 
 
+def test_invalid_system_is_named_briefly(capsys, tmp_path):
+    # 2,998 level-1 keys, each valued above itself (V3)
+    bad = {"bound": "w*4000+1",
+           "levels": {"1": {f"w*{i}": f"w*{i}+1" for i in range(2, 3000)}}}
+    system = tmp_path / "bad.json"
+    system.write_text(json.dumps(bad), encoding="utf-8")
+    chain = tmp_path / "chain.json"
+    chain.write_text(json.dumps({"chain": [bad], "target": "w*4001"}), encoding="utf-8")
+    for argv in (["generic", str(system)], ["extend", "--to", "w*4001", str(system)],
+                 ["infimum", str(chain)]):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert err.startswith("check failed: not a valid stability system: "), argv
+        assert err.count("\n") == 1 and len(err.encode()) < 100, (argv, err[:200])
+
+
 @pytest.mark.parametrize("argv", [
     ["rel", "--k", "0", "1", "w"],
     ["preds", "--k", "0", "w"],

@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from stabforce import (
+    CheckReport,
     IntervalSet,
     StabilitySystem,
+    Violation,
     check_predecessor_laws,
     check_tree_properties,
     dom_f,
@@ -28,7 +30,7 @@ from stabforce.oracle import BruteEvaluator
 from stabforce.ordinal import Ordinal, OrdinalInterval, format_ordinal
 from stabforce.ordinal import parse_ordinal as O
 from stabforce.simulate import make_pattern, run_construction
-from stabforce.stability import disagreeing_levels
+from stabforce.stability import _is_lim2, disagreeing_levels
 from test_ordinal import sup_of_limits_between
 
 
@@ -768,3 +770,70 @@ def test_validate_matches_reference_on_a_long_chain():
     seen = set()
     assert_validate_matches_reference(p, seen)
     assert seen == {"V3", "V5"}
+
+
+# -- predecessor laws against the probe scan ------------------------------------------
+
+
+def scan_predecessor_laws(p, k, probe=None):
+    """``check_predecessor_laws`` as it was before it read the compile pass:
+    the largest-predecessor clause through ``dom_f`` and ``pred_set``, and the
+    unboundedness clause scanned over the probe grid."""
+    violations = []
+    for g, v in p.entries_at(k):
+        if v < g and dom_f(p, k, g):
+            s = pred_set(p, k, g)
+            if s.is_empty or not s.has_max() or s.max_element() != v:
+                got = "none" if s.is_empty or not s.has_max() else str(s.max_element())
+                violations.append(Violation(
+                    "largest-predecessor", k, format_ordinal(g),
+                    f"value {v} is not the largest strict predecessor (got {got})"))
+    pts = tuple(probe if probe is not None else probe_points(p))
+    for alpha in pts:
+        if _is_lim2(p, k - 1, alpha) and f_eval(p, k, alpha) == alpha \
+                and not is_k_limit(p, k, alpha):
+            violations.append(Violation(
+                "unboundedness", k, format_ordinal(alpha),
+                "identity value but predecessors not cofinal"))
+    return CheckReport(name=f"largest-predecessor/unboundedness level {k}",
+                       violations=tuple(violations))
+
+
+def predecessor_law_systems(rng):
+    """Random systems and their mutants, invalid and raw systems, the chains
+    grown on each, and link-free copies of the linked systems."""
+    for i in range(200):
+        if i % 4 == 0:
+            p = random_system(rng)
+            bases = [p, mutate_system(rng, p)]
+        elif i % 4 == 1:
+            bases = [random_invalid_system(rng)]
+        elif i % 4 == 2:
+            bases = [random_raw_system(rng)]
+        else:
+            bases = [mutate_system(rng, random_system(rng))]
+        for base in bases:
+            for q in grow_linked(rng, base, steps=2):
+                yield q
+                if q._base is not None:
+                    yield StabilitySystem(q.bound, q._as_dict())
+
+
+def test_predecessor_laws_match_probe_scan():
+    pairs = found = raised = 0
+    for p in predecessor_law_systems(random.Random(5)):
+        for k in range(1, p.depth + 2):
+            pairs += 1
+            got = check_predecessor_laws(p, k)
+            try:
+                want = scan_predecessor_laws(p, k)
+            except ValueError as err:  # a key at or above the bound, or a limit bound
+                assert isinstance(err, OutOfBoundsError) or not p.bound.is_successor
+                raised += 1
+                v5 = {x.subject for x in validate(p).violations
+                      if x.check == "V5" and x.level == k}
+                assert {x.subject for x in got.violations} <= v5, (p, k)
+                continue
+            assert got == want, (p, k)
+            found += len(got.violations)
+    assert pairs > 7000 and found > 200 and raised > 200
