@@ -1,10 +1,12 @@
 """Deterministic Graphviz export of a level order restricted to display nodes.
 
-The displayed node set is: every exception key, every limit ordinal up to the
-top when those are finitely enumerable (top below w^2), plus any caller-marked
-points.  An edge alpha -> beta is drawn when beta is the immediate successor
-of alpha in the level order among displayed nodes; the tree property makes the
-result a forest.  Output lines are sorted, so equal inputs give equal bytes.
+The displayed node set is: every exception key and value, every limit
+ordinal up to the top when there are at most 10,000 of them (a top below
+w*10001), plus any caller-marked points.  Above that no limit is listed, so
+the output grows with the keys, not with the top.  An edge alpha -> beta is
+drawn when beta is the immediate successor of alpha in the level order among
+displayed nodes; the tree property makes the result a forest.  Output lines
+are sorted, so equal inputs give equal bytes.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from .errors import OutOfBoundsError
 from .ordinal import Ordinal, _brief, format_ordinal
 from .stability import StabilitySystem, pred_set
 
-W_SQUARED = Ordinal(((2, 1),))
+LIMITS_BELOW = Ordinal(((1, 10001),))  # w*10001: tops below it list their limits
 
 
 def _display_nodes(p: StabilitySystem, marks: Iterable[Ordinal]) -> list[Ordinal]:
@@ -31,7 +33,7 @@ def _display_nodes(p: StabilitySystem, marks: Iterable[Ordinal]) -> list[Ordinal
             raise OutOfBoundsError(f"mark {_brief(format_ordinal(m))} is above the top "
                                    f"{_brief(format_ordinal(top))}")
         nodes.add(m)
-    if top < W_SQUARED:
+    if top < LIMITS_BELOW:
         m = 1
         while True:
             lam = Ordinal(((1, m),))

@@ -376,7 +376,8 @@ def minimality_report(result: SimulationResult, grid: Iterable[Ordinal]) -> Mini
     ``P_k(theta)``, the level-k predecessor set of theta.  These sets shrink
     as k grows, so a point's blocking level is the least k whose set misses
     it, and the survivors are exactly the grid points in ``P_depth(theta)``:
-    one predecessor set per level decides every point.  The blocking witness
+    one predecessor set per level with keys decides every point, as a level
+    without keys keeps the set below it.  The blocking witness
     is the least key that kills the point at that level.  Survivors are
     reported only within the settled region (at most the last exception
     key): the canonical tail above the keys cannot be blocked by a finite
@@ -388,11 +389,12 @@ def minimality_report(result: SimulationResult, grid: Iterable[Ordinal]) -> Mini
     theta = roof + OMEGA
     ghat = canonical_extend(g, theta)
     last_key = g.max_key()
-    sets = [_pred(ghat, k, theta) for k in range(ghat.depth + 1)]
+    levels = [0] + [k for k, _ in ghat.levels]  # a set changes only at a key level
+    sets = [_pred(ghat, k, theta) for k in levels]
     fates: list[PointFate] = []
     for alpha in pts:
-        k = next((k for k in range(1, len(sets)) if not sets[k].member(alpha)), None)
-        blocked = None if k is None else _blocking_witness(ghat, k, alpha, sets[k - 1])
+        i = next((i for i in range(1, len(sets)) if not sets[i].member(alpha)), None)
+        blocked = None if i is None else _blocking_witness(ghat, levels[i], alpha, sets[i - 1])
         settled = last_key is not None and alpha <= last_key
         fates.append(PointFate(alpha=alpha, settled=settled, blocked_at=blocked))
     survivors = tuple(f.alpha for f in fates if f.settled and sets[-1].member(f.alpha))

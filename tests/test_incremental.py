@@ -213,6 +213,15 @@ def linear_base_at_most(p: StabilitySystem, cut):
     return node
 
 
+def below_new_levels(node, p: StabilitySystem, q: StabilitySystem):
+    """The first system from node down the chain whose levels all lie below
+    every level that q, the system made from p, adds."""
+    new = min({k for k, _ in q.levels} - {k for k, _ in p.levels}, default=float("inf"))
+    while node is not None and not all(k < new for k, _ in node.levels):
+        node = node._base
+    return node
+
+
 def chain_of(q: StabilitySystem) -> list[StabilitySystem]:
     out = []
     while q is not None:
@@ -225,16 +234,17 @@ def assert_compiled_extends_base(q: StabilitySystem) -> None:
     """Each of q's compiled levels is its base's object when it gains no key,
     and otherwise starts with the base's keys, flags and violations; every
     old key's row is its base's very object.  A key has one row at all its
-    levels, holding at least its own level's set."""
+    levels, indexed by the rank of a level among q's levels, holding at least
+    its own level's set."""
     levels = _compiled(q)
     assert list(levels) == [k for k, _ in q.levels]
     row_of: dict = {}
-    for k, (entries, terms, binds, rows, violations) in levels.items():
+    for rank, (k, (entries, terms, binds, rows, violations)) in enumerate(levels.items(), 1):
         assert entries == q.entries_at(k)
         assert terms == [g.terms for g, _ in entries]
         assert len(binds) == len(rows) == len(entries)
         for (g, _), row in zip(entries, rows):
-            assert len(row) >= k and row_of.setdefault(g, row) is row, (k, g)
+            assert len(row) >= rank and row_of.setdefault(g, row) is row, (k, g)
         assert all(x.level == k for x in violations)
     if q._base is None:
         return
@@ -322,7 +332,7 @@ def test_extensions_share_structure_and_match_cold(made_from, make):
     assert made_from
     for parent, cut, q in made_from:
         assert_structure_matches_cold(q)
-        assert q._base is linear_base_at_most(parent, cut)
+        assert q._base is below_new_levels(linear_base_at_most(parent, cut), parent, q)
         assert_compiled_extends_base(q)
 
 

@@ -188,7 +188,7 @@ def test_check_predecessor_laws_examples(pstar):
     rep = check_predecessor_laws(pstar, 1)
     assert rep.passed
     p = StabilitySystem(O("w^2+1"))
-    assert check_predecessor_laws(p, 1, probe=[O("w^2")]).passed
+    assert check_predecessor_laws(p, 1).passed
     assert is_k_limit(p, 1, O("w^2"))  # predecessors cofinal at the fixed point
     # f1(w*2) = 5 is the largest level-1 predecessor of w*2
     s = pred_set(pstar, 1, O("w*2"))
@@ -258,9 +258,9 @@ def test_negative_level_is_rejected(pstar):
 
 def test_level_zero_sets_are_not_cached():
     """``dom_f`` at level 1 and V4 at level 1 read level-0 sets, [0, b); they
-    are built on the spot, never stored.  A point's row holds its sets from
-    level 1 up and is never longer than the depth, even after a query at a
-    level far above it."""
+    are built on the spot, never stored.  A point's row holds its sets at the
+    levels that carry keys, lowest first, and is never longer than their
+    count, even after a query at a level far above them."""
     g = run_construction(_chain_pattern(40)).g
     q = system_from_json(system_to_json(g))  # link-free: every row is memoized on q
     assert validate(q).valid
@@ -268,8 +268,8 @@ def test_level_zero_sets_are_not_cached():
     def assert_rows():
         assert q._memo
         for b, row in q._memo.items():
-            assert 1 <= len(row) <= q.depth, (b, len(row))
-            assert row == [pred_set(g, k, b) for k in range(1, len(row) + 1)], b
+            assert 1 <= len(row) <= len(q.levels), (b, len(row))
+            assert row == [pred_set(g, k, b) for k, _ in q.levels[:len(row)]], b
 
     assert_rows()
     b = O("w*6+1")
