@@ -16,7 +16,14 @@ command line::
 Every value has exactly one accepted spelling ("w" rather than "w^1", "5"
 rather than "w^0*5", no zero coefficients, no whitespace); anything else is
 rejected rather than silently normalized, so file formats stay unambiguous
-and diffable.
+and diffable.  ``parse_ordinal`` reads the short spellings ``0``, ``n``,
+``w``, ``w*c``, ``w+n`` and ``w*c+n`` (numbers of at most 18 digits) with one
+regular expression, and every other text with the general term parser, which
+owns every error message.
+
+An ``IntervalSet`` holds its intervals as two parallel tuples of CNF terms,
+``lows`` and ``highs``, so membership and cuts bisect plain tuples;
+``OrdinalInterval`` objects are built only for a caller that iterates.
 """
 
 from __future__ import annotations
@@ -204,14 +211,29 @@ def _parse_term(tok: str) -> tuple[int, int]:
     return (exp, coef)
 
 
+# the canonical spellings 0, n, w, w*c, w+n and w*c+n (c >= 2), numbers short
+# enough that int() never meets the interpreter's digit limit
+_SHORT_RE = re.compile(r"w(?:\*([2-9]|[1-9][0-9]{1,17}))?(?:\+([1-9][0-9]{0,17}))?"
+                       r"|(0|[1-9][0-9]{0,17})")
+
+
 def parse_ordinal(text: str) -> Ordinal:
     """Parse canonical ordinal notation; reject non-canonical spellings.
 
     Raises OrdinalSyntaxError for bad tokens, NonCanonicalError when the text
     is grammatical but not the single accepted spelling (e.g. "w+w", "w^1").
+    A short spelling is read by ``_SHORT_RE`` alone; any other text, every
+    error included, goes through the term parser.
     """
     if not isinstance(text, str):
         raise OrdinalSyntaxError(f"expected text, got {type(text).__name__}")
+    m = _SHORT_RE.fullmatch(text)
+    if m is not None:
+        c, n, nat = m.groups()
+        if nat is not None:
+            return _from_cnf(((0, int(nat)),)) if nat != "0" else ZERO
+        omega = ((1, int(c) if c else 1),)
+        return _from_cnf(omega + ((0, int(n)),) if n else omega)
     parts = text.split("+")
     terms = [_parse_term(tok) for tok in parts]
     if len(terms) > 1 and any(c == 0 for _, c in terms):
@@ -227,21 +249,32 @@ def parse_ordinal(text: str) -> Ordinal:
 def format_ordinal(a: Ordinal) -> str:
     """Canonical text for an ordinal; inverse of parse_ordinal."""
     text = a._text
-    if text is not None:
-        return text
-    if a.is_zero:
-        text = "0"
-    else:
-        parts = []
-        for e, c in a.terms:
-            if e == 0:
-                parts.append(str(c))
-            else:
-                head = "w" if e == 1 else f"w^{e}"
-                parts.append(head if c == 1 else f"{head}*{c}")
-        text = "+".join(parts)
-    a._text = text
+    if text is None:
+        text = a._text = _format_terms(a.terms)
     return text
+
+
+def _format_terms(terms: Terms) -> str:
+    """Canonical text for the CNF terms of an ordinal, with ``n``, ``w*c`` and
+    ``w*c+n`` spelled without the general loop."""
+    if len(terms) == 1:
+        e, c = terms[0]
+        if e == 0:
+            return str(c)
+        if e == 1 and c > 1:
+            return f"w*{c}"
+    elif len(terms) == 2 and terms[0][0] == 1 and terms[1][0] == 0 and terms[0][1] > 1:
+        return f"w*{terms[0][1]}+{terms[1][1]}"
+    elif not terms:
+        return "0"
+    parts = []
+    for e, c in terms:
+        if e == 0:
+            parts.append(str(c))
+        else:
+            head = "w" if e == 1 else f"w^{e}"
+            parts.append(head if c == 1 else f"{head}*{c}")
+    return "+".join(parts)
 
 
 # -- interval sets -----------------------------------------------------------
@@ -262,52 +295,49 @@ class OrdinalInterval:
         return f"[{self.low}, {self.high})"
 
 
-# bisection keys of a normalized interval sequence, by low and by high end
-def _low_key(iv: OrdinalInterval) -> Terms:
-    return iv.low.terms
-
-
-def _high_key(iv: OrdinalInterval) -> Terms:
-    return iv.high.terms
-
-
-def _cut(ivs: tuple[OrdinalInterval, ...], lo: Ordinal, hi: Ordinal) -> tuple[OrdinalInterval, ...]:
-    """The pieces in [lo, hi) of the normalized intervals ``ivs``, as a
-    normalized tuple; empty unless lo < hi."""
-    if not lo.terms < hi.terms:
-        return ()
-    out = list(ivs[bisect_right(ivs, lo.terms, key=_high_key):
-                   bisect_left(ivs, hi.terms, key=_low_key)])
-    if out:
-        if out[0].low.terms < lo.terms:
-            out[0] = OrdinalInterval(lo, out[0].high)
-        if hi.terms < out[-1].high.terms:
-            out[-1] = OrdinalInterval(out[-1].low, hi)
-    return tuple(out)
+def _cut(lows: tuple[Terms, ...], highs: tuple[Terms, ...], lo: Terms,
+         hi: Terms) -> tuple[tuple[Terms, ...], tuple[Terms, ...]]:
+    """The end tuples of the pieces in [lo, hi) of the normalized intervals
+    with ends ``lows`` and ``highs``; empty unless lo < hi."""
+    if not lo < hi:
+        return (), ()
+    i = bisect_right(highs, lo)
+    j = bisect_left(lows, hi)
+    if i == j:
+        return (), ()
+    lows, highs = lows[i:j], highs[i:j]
+    if lows[0] < lo:
+        lows = (lo,) + lows[1:]
+    if hi < highs[-1]:
+        highs = highs[:-1] + (hi,)
+    return lows, highs
 
 
 class IntervalSet:
     """Finite union of disjoint, non-adjacent, sorted half-open intervals.
 
-    The constructor normalizes arbitrary input: intervals are sorted, and any
-    overlapping or adjacent pair (next.low <= cur.high) is merged, so equal
-    sets have identical representations.  ``_text`` memoizes the ``str``
+    The set is stored as two parallel tuples of CNF terms: ``lows[i]`` and
+    ``highs[i]`` are the ends of the i-th interval, and
+    ``lows[i] < highs[i] < lows[i+1]``, so both tuples ascend strictly and
+    equal sets have identical ends.  ``intervals`` builds the
+    ``OrdinalInterval`` objects on demand.  The constructor normalizes
+    arbitrary input: intervals are sorted, and any overlapping or adjacent
+    pair (next.low <= cur.high) is merged.  ``_text`` memoizes the ``str``
     spelling once it is asked for.
     """
 
-    __slots__ = ("intervals", "_text")
+    __slots__ = ("lows", "highs", "_text")
 
     def __init__(self, intervals: Iterable[OrdinalInterval] = ()):
-        items = sorted(intervals, key=lambda iv: (iv.low.terms, iv.high.terms))
-        merged: list[OrdinalInterval] = []
-        for iv in items:
-            if merged and iv.low <= merged[-1].high:
-                if iv.high > merged[-1].high:
-                    merged[-1] = OrdinalInterval(merged[-1].low, iv.high)
+        lows, highs = [], []
+        for lo, hi in sorted((iv.low.terms, iv.high.terms) for iv in intervals):
+            if highs and lo <= highs[-1]:
+                if hi > highs[-1]:
+                    highs[-1] = hi
             else:
-                merged.append(iv)
-        self.intervals = tuple(merged)
-        self._text = None
+                lows.append(lo)
+                highs.append(hi)
+        self.lows, self.highs, self._text = tuple(lows), tuple(highs), None
 
     @classmethod
     def of(cls, *pairs: tuple[Ordinal, Ordinal]) -> "IntervalSet":
@@ -315,59 +345,71 @@ class IntervalSet:
 
     @property
     def is_empty(self) -> bool:
-        return not self.intervals
+        return not self.highs
+
+    @property
+    def intervals(self) -> tuple[OrdinalInterval, ...]:
+        return tuple(OrdinalInterval(_from_cnf(lo), _from_cnf(hi))
+                     for lo, hi in zip(self.lows, self.highs))
 
     @classmethod
     def _normalized(cls, intervals: Iterable[OrdinalInterval]) -> "IntervalSet":
         """Wrap intervals that are already sorted, disjoint and non-adjacent."""
+        ivs = tuple(intervals)
+        return cls._ends(tuple(iv.low.terms for iv in ivs), tuple(iv.high.terms for iv in ivs))
+
+    @classmethod
+    def _ends(cls, lows: tuple[Terms, ...], highs: tuple[Terms, ...]) -> "IntervalSet":
+        """Wrap the end tuples of intervals already sorted, disjoint and
+        non-adjacent."""
         s = cls.__new__(cls)
-        s.intervals = tuple(intervals)
-        s._text = None
+        s.lows, s.highs, s._text = lows, highs, None
         return s
 
     def member(self, alpha: Ordinal) -> bool:
-        ivs = self.intervals
-        i = bisect_right(ivs, alpha.terms, key=_low_key) - 1
-        return i >= 0 and alpha.terms < ivs[i].high.terms
+        t = alpha.terms
+        i = bisect_right(self.lows, t)
+        return i > 0 and t < self.highs[i - 1]
 
     def sup(self) -> Ordinal:
         """Least upper bound of the member set (attained iff has_max)."""
-        if not self.intervals:
+        if not self.highs:
             raise EmptySetError("sup of empty interval set")
-        hi = self.intervals[-1].high
+        hi = _from_cnf(self.highs[-1])
         return hi if hi.is_limit else hi.predecessor()
 
     def has_max(self) -> bool:
-        if not self.intervals:
+        if not self.highs:
             raise EmptySetError("has_max of empty interval set")
-        return self.intervals[-1].high.is_successor
+        return self.highs[-1][-1][0] == 0
 
     def max_element(self) -> Ordinal:
         if not self.has_max():
             raise EmptySetError("interval set has no maximum")
-        return self.intervals[-1].high.predecessor()
+        return _from_cnf(self.highs[-1]).predecessor()
 
     def union(self, other: "IntervalSet") -> "IntervalSet":
         return IntervalSet(self.intervals + other.intervals)
 
     def intersect(self, other: "IntervalSet") -> "IntervalSet":
         """Two-pointer merge; pieces of two normalized sets come out normalized."""
-        xs, ys, out = self.intervals, other.intervals, []
+        xl, xh, yl, yh = self.lows, self.highs, other.lows, other.highs
+        lows, highs = [], []
         i = j = 0
-        while i < len(xs) and j < len(ys):
-            a, b = xs[i], ys[j]
-            lo = a.low if a.low.terms >= b.low.terms else b.low
-            if a.high.terms <= b.high.terms:
-                hi, i = a.high, i + 1
+        while i < len(xh) and j < len(yh):
+            lo = xl[i] if xl[i] >= yl[j] else yl[j]
+            if xh[i] <= yh[j]:
+                hi, i = xh[i], i + 1
             else:
-                hi, j = b.high, j + 1
-            if lo.terms < hi.terms:
-                out.append(OrdinalInterval(lo, hi))
-        return IntervalSet._normalized(out)
+                hi, j = yh[j], j + 1
+            if lo < hi:
+                lows.append(lo)
+                highs.append(hi)
+        return IntervalSet._ends(tuple(lows), tuple(highs))
 
     def cut(self, lo: Ordinal, hi: Ordinal) -> "IntervalSet":
         """The members in [lo, hi), found by two bisections; empty unless lo < hi."""
-        return IntervalSet._normalized(_cut(self.intervals, lo, hi))
+        return IntervalSet._ends(*_cut(self.lows, self.highs, lo.terms, hi.terms))
 
     def filter_below(self, alpha: Ordinal) -> "IntervalSet":
         """Members strictly below alpha."""
@@ -377,17 +419,18 @@ class IntervalSet:
         return iter(self.intervals)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, IntervalSet) and self.intervals == other.intervals
+        return isinstance(other, IntervalSet) and self.lows == other.lows \
+            and self.highs == other.highs
 
     def __hash__(self) -> int:
-        return hash(self.intervals)
+        return hash((self.lows, self.highs))
 
     def __str__(self) -> str:
         text = self._text
         if text is None:
             text = self._text = " u ".join([
-                f"[{format_ordinal(iv.low)}, {format_ordinal(iv.high)})"
-                for iv in self.intervals]) or "{}"
+                f"[{_format_terms(lo)}, {_format_terms(hi)})"
+                for lo, hi in zip(self.lows, self.highs)]) or "{}"
         return text
 
     def __repr__(self) -> str:

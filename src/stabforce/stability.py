@@ -50,7 +50,6 @@ from .ordinal import (
     ZERO,
     IntervalSet,
     Ordinal,
-    OrdinalInterval,
     _brief,
     _cut,
     _nat,
@@ -476,7 +475,8 @@ def _grow(p: StabilitySystem, r: int, beta: Ordinal, row: list | None) -> Interv
 
 def _segment(beta: Ordinal) -> IntervalSet:
     """[0, beta), the level-0 predecessor set."""
-    return IntervalSet._normalized((OrdinalInterval(ZERO, beta),) if beta.terms else ())
+    t = beta.terms
+    return IntervalSet._ends(((),), (t,)) if t else IntervalSet._ends((), ())
 
 
 def _compiled(p: StabilitySystem) -> dict:
@@ -523,15 +523,15 @@ def _compiled(p: StabilitySystem) -> dict:
                 row = memo.get(g)
                 if row is None:  # a key at the first level: level 0 is not memoized
                     row = memo[g] = []
-                ivs = below.intervals
-                dom = bool(ivs) and ivs[-1].high.is_limit
+                highs = below.highs
+                dom = bool(highs) and highs[-1][-1][0] >= 1
                 bind = dom and v.terms < g.terms
                 own = _step(entries, binds, rows, r, len(terms), below, v + ONE if bind else g)
                 row.append(own)
                 terms.append(g.terms)
                 binds.append(bind)
                 rows.append(row)
-                at_lim2 = bind and g.is_lim2 and ivs[-1].high == g
+                at_lim2 = bind and g.is_lim2 and highs[-1] == g.terms
                 fits = bind and own.member(v)
                 if at_lim2 or not (fits and g.terms < bound):  # text only for a violation
                     subject = format_ordinal(g)
@@ -581,14 +581,15 @@ def _step(entries: Entries, binds: list[bool], rows: list[list[IntervalSet]], r:
     is ``P_j(g*)`` cut at the cap when the cap cuts into it, else
     ``P_j(g*)`` followed by ``below`` cut to [g*, cap); with no g*, ``below``
     itself when the cap cuts nothing, else ``below`` cut at it."""
+    c = cap.terms
     for i in range(i - 1, -1, -1):
         if binds[i] and below.member(entries[i][0]):
-            ivs = rows[i][r].intervals
-            if ivs and cap.terms < ivs[-1].high.terms:
-                return rows[i][r].cut(ZERO, cap)
-            return IntervalSet._normalized(ivs + _cut(below.intervals, entries[i][0], cap))
-    ivs = below.intervals
-    if not ivs or ivs[-1].high.terms <= cap.terms:
+            head = rows[i][r]
+            if head.highs and c < head.highs[-1]:
+                return head.cut(ZERO, cap)
+            lows, highs = _cut(below.lows, below.highs, entries[i][0].terms, c)
+            return IntervalSet._ends(head.lows + lows, head.highs + highs)
+    if not below.highs or below.highs[-1] <= c:
         return below
     return below.cut(ZERO, cap)
 
@@ -596,8 +597,8 @@ def _step(entries: Entries, binds: list[bool], rows: list[list[IntervalSet]], r:
 def _is_limit(p: StabilitySystem, k: int, beta: Ordinal) -> bool:
     """beta is a level-k limit, its set ``P_k(beta)`` nonempty with no max;
     at level 0, a limit ordinal."""
-    ivs = _pred(p, k, beta).intervals
-    return bool(ivs) and ivs[-1].high.is_limit
+    highs = _pred(p, k, beta).highs
+    return bool(highs) and highs[-1][-1][0] >= 1
 
 
 def _is_lim2(p: StabilitySystem, k: int, beta: Ordinal) -> bool:
@@ -620,8 +621,8 @@ def _is_lim2(p: StabilitySystem, k: int, beta: Ordinal) -> bool:
     """
     if not beta.is_lim2:
         return False
-    ivs = _pred(p, k, beta).intervals
-    return bool(ivs) and ivs[-1].high == beta
+    highs = _pred(p, k, beta).highs
+    return bool(highs) and highs[-1] == beta.terms
 
 
 def is_k_limit(p: StabilitySystem, k: int, alpha: Ordinal) -> bool:
@@ -783,7 +784,7 @@ def check_predecessor_laws(p: StabilitySystem, k: int) -> CheckReport:
     for (g, v), bind, row in zip(entries, binds, rows):
         s = row[r]
         if bind and g.terms < bound and not s.member(v):
-            got = s.max_element() if s.intervals and s.has_max() else "none"
+            got = s.max_element() if s.highs and s.has_max() else "none"
             violations.append(Violation(
                 "largest-predecessor", k, format_ordinal(g),
                 f"value {v} is not the largest strict predecessor (got {got})"))

@@ -35,8 +35,7 @@ from stabforce.ordinal import (
     IntervalSet,
     Ordinal,
     OrdinalInterval,
-    _high_key,
-    _low_key,
+    Terms,
     format_ordinal,
 )
 from stabforce.poset import canonical_extend, extend_to_chain_limit, extend_with_top_exception
@@ -69,6 +68,15 @@ def _join(head: IntervalSet | None, below: IntervalSet, lo: Ordinal,
     if lo.terms < hi.terms:
         ivs += tuple(_slice(below.intervals, lo, hi))
     return IntervalSet._normalized(ivs)
+
+
+# bisection keys of a normalized interval sequence, by low and by high end
+def _low_key(iv: OrdinalInterval) -> Terms:
+    return iv.low.terms
+
+
+def _high_key(iv: OrdinalInterval) -> Terms:
+    return iv.high.terms
 
 
 def _slice(ivs: tuple[OrdinalInterval, ...], lo: Ordinal,

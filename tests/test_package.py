@@ -98,3 +98,25 @@ def test_no_assert_statement_in_the_package():
                for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
                if isinstance(node, ast.Assert)]
     assert asserts == []
+
+
+
+def _calls(name: str) -> list[tuple[int, str | None, ast.Call]]:
+    """(line, called name, node) for each call in a package module."""
+    path = pathlib.Path(stabforce.__file__).parent / name
+    return [(node.lineno, getattr(node.func, "id", getattr(node.func, "attr", None)), node)
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Call)]
+
+
+def test_interval_sets_bisect_plain_ends():
+    """``ordinal.py`` bisects the end tuples of its interval sets without a
+    key function, and ``stability.py`` builds no ``OrdinalInterval``: the
+    kernel works on end tuples, and interval objects are made only for a
+    caller that iterates a set."""
+    keyed = [f"ordinal.py:{line}" for line, called, node in _calls("ordinal.py")
+             if called in ("bisect_left", "bisect_right")
+             and any(kw.arg == "key" for kw in node.keywords)]
+    built = [f"stability.py:{line}" for line, called, _ in _calls("stability.py")
+             if called == "OrdinalInterval"]
+    assert keyed == [] and built == []
