@@ -30,7 +30,7 @@ from .errors import (
 )
 from .gen import mutate_system, random_chain, random_system, random_tower
 from .oracle import BruteEvaluator
-from .ordinal import Ordinal, _brief, _nat, format_ordinal, parse_ordinal
+from .ordinal import Ordinal, _brief, _format_terms, _nat, format_ordinal, parse_ordinal
 from .poset import (
     ChainPresentation,
     PosetParams,
@@ -153,8 +153,8 @@ def cmd_preds(args) -> int:
     s = pred_set(p, args.k, b)
     _emit(args.json,
           lambda: {"k": args.k, "b": args.b,
-                   "intervals": [[format_ordinal(iv.low), format_ordinal(iv.high)]
-                                 for iv in s]},
+                   "intervals": [[_format_terms(lo), _format_terms(hi)]
+                                 for lo, hi in zip(s.lows, s.highs)]},
           lambda: str(s))
     return OK
 

@@ -65,9 +65,10 @@ def export_dot(p: StabilitySystem, k: int, marks: Iterable[Ordinal] = ()) -> str
         # predecessors are linearly ordered, so the parent is the largest
         # smaller node in beta's predecessor set: walk its intervals down
         beta = nodes[j]
-        for iv in reversed(pred_set(p, k, beta).intervals):
-            i = bisect_left(terms, iv.high.terms, 0, j) - 1
-            if i >= 0 and iv.low.terms <= terms[i]:
+        s = pred_set(p, k, beta)
+        for lo, hi in zip(reversed(s.lows), reversed(s.highs)):
+            i = bisect_left(terms, hi, 0, j) - 1
+            if i >= 0 and lo <= terms[i]:
                 lines.append(f'  "{format_ordinal(nodes[i])}" -> "{format_ordinal(beta)}";')
                 break
     lines.append("}")

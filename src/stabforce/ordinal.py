@@ -255,17 +255,8 @@ def format_ordinal(a: Ordinal) -> str:
 
 
 def _format_terms(terms: Terms) -> str:
-    """Canonical text for the CNF terms of an ordinal, with ``n``, ``w*c`` and
-    ``w*c+n`` spelled without the general loop."""
-    if len(terms) == 1:
-        e, c = terms[0]
-        if e == 0:
-            return str(c)
-        if e == 1 and c > 1:
-            return f"w*{c}"
-    elif len(terms) == 2 and terms[0][0] == 1 and terms[1][0] == 0 and terms[0][1] > 1:
-        return f"w*{terms[0][1]}+{terms[1][1]}"
-    elif not terms:
+    """Canonical text for the CNF terms of an ordinal."""
+    if not terms:
         return "0"
     parts = []
     for e, c in terms:
@@ -323,10 +314,13 @@ class IntervalSet:
     ``OrdinalInterval`` objects on demand.  The constructor normalizes
     arbitrary input: intervals are sorted, and any overlapping or adjacent
     pair (next.low <= cur.high) is merged.  ``_text`` memoizes the ``str``
-    spelling once it is asked for.
+    spelling once it is asked for.  ``_names`` maps end terms to their text:
+    the sets a stability system's kernel builds share the system's table, so
+    an end that many of them hold is spelled once however many are printed;
+    ``cut`` and ``intersect`` hand the table on, and any other set has None.
     """
 
-    __slots__ = ("lows", "highs", "_text")
+    __slots__ = ("lows", "highs", "_text", "_names")
 
     def __init__(self, intervals: Iterable[OrdinalInterval] = ()):
         lows, highs = [], []
@@ -337,7 +331,7 @@ class IntervalSet:
             else:
                 lows.append(lo)
                 highs.append(hi)
-        self.lows, self.highs, self._text = tuple(lows), tuple(highs), None
+        self.lows, self.highs, self._text, self._names = tuple(lows), tuple(highs), None, None
 
     @classmethod
     def of(cls, *pairs: tuple[Ordinal, Ordinal]) -> "IntervalSet":
@@ -359,11 +353,12 @@ class IntervalSet:
         return cls._ends(tuple(iv.low.terms for iv in ivs), tuple(iv.high.terms for iv in ivs))
 
     @classmethod
-    def _ends(cls, lows: tuple[Terms, ...], highs: tuple[Terms, ...]) -> "IntervalSet":
+    def _ends(cls, lows: tuple[Terms, ...], highs: tuple[Terms, ...],
+              names: dict[Terms, str] | None = None) -> "IntervalSet":
         """Wrap the end tuples of intervals already sorted, disjoint and
-        non-adjacent."""
+        non-adjacent, spelled through the table ``names``."""
         s = cls.__new__(cls)
-        s.lows, s.highs, s._text = lows, highs, None
+        s.lows, s.highs, s._text, s._names = lows, highs, None, names
         return s
 
     def member(self, alpha: Ordinal) -> bool:
@@ -405,11 +400,11 @@ class IntervalSet:
             if lo < hi:
                 lows.append(lo)
                 highs.append(hi)
-        return IntervalSet._ends(tuple(lows), tuple(highs))
+        return IntervalSet._ends(tuple(lows), tuple(highs), self._names)
 
     def cut(self, lo: Ordinal, hi: Ordinal) -> "IntervalSet":
         """The members in [lo, hi), found by two bisections; empty unless lo < hi."""
-        return IntervalSet._ends(*_cut(self.lows, self.highs, lo.terms, hi.terms))
+        return IntervalSet._ends(*_cut(self.lows, self.highs, lo.terms, hi.terms), self._names)
 
     def filter_below(self, alpha: Ordinal) -> "IntervalSet":
         """Members strictly below alpha."""
@@ -428,9 +423,17 @@ class IntervalSet:
     def __str__(self) -> str:
         text = self._text
         if text is None:
-            text = self._text = " u ".join([
-                f"[{_format_terms(lo)}, {_format_terms(hi)})"
-                for lo, hi in zip(self.lows, self.highs)]) or "{}"
+            names = {} if self._names is None else self._names
+            pieces = []
+            for lo, hi in zip(self.lows, self.highs):
+                low = names.get(lo)
+                if low is None:
+                    low = names[lo] = _format_terms(lo)
+                high = names.get(hi)
+                if high is None:
+                    high = names[hi] = _format_terms(hi)
+                pieces.append(f"[{low}, {high})")
+            text = self._text = " u ".join(pieces) or "{}"
         return text
 
     def __repr__(self) -> str:

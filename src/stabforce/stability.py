@@ -88,7 +88,7 @@ class StabilitySystem:
     """
 
     __slots__ = ("bound", "levels", "_top", "_memo", "_compiled", "_report",
-                 "_base", "__weakref__")
+                 "_base", "_names", "__weakref__")
 
     def __init__(self, bound: Ordinal, exceptions: Mapping[int, Mapping[Ordinal, Ordinal]] | None = None):
         if not isinstance(bound, Ordinal):
@@ -113,6 +113,7 @@ class StabilitySystem:
         self._compiled: dict | None = None
         self._report: ValidationReport | None = None
         self._base = base
+        self._names: dict = {}
 
     @classmethod
     def _derived(cls, bound: Ordinal, levels: Levels,
@@ -444,7 +445,7 @@ def _pred(p: StabilitySystem, k: int, beta: Ordinal) -> IntervalSet:
     """
     r = bisect_right(p.levels, k, key=itemgetter(0))
     if not r:
-        return _segment(beta)
+        return _segment(p, beta)
     row = p._memo.get(beta)
     if row is not None and r <= len(row):
         return row[r - 1]
@@ -466,17 +467,17 @@ def _grow(p: StabilitySystem, r: int, beta: Ordinal, row: list | None) -> Interv
                 row = rows[i]
                 break
         p._memo[beta] = row
-    below = row[-1] if row else _segment(beta)
+    below = row[-1] if row else _segment(p, beta)
     for entries, terms, binds, rows, _ in islice(levels.values(), len(row), r):
         below = _step(entries, binds, rows, len(row), bisect_left(terms, t), below, beta)
         row.append(below)
     return row[r - 1]
 
 
-def _segment(beta: Ordinal) -> IntervalSet:
-    """[0, beta), the level-0 predecessor set."""
+def _segment(p: StabilitySystem, beta: Ordinal) -> IntervalSet:
+    """[0, beta), the level-0 predecessor set, spelled through p's table."""
     t = beta.terms
-    return IntervalSet._ends(((),), (t,)) if t else IntervalSet._ends((), ())
+    return IntervalSet._ends(((),), (t,), p._names) if t else IntervalSet._ends((), (), p._names)
 
 
 def _compiled(p: StabilitySystem) -> dict:
@@ -588,7 +589,7 @@ def _step(entries: Entries, binds: list[bool], rows: list[list[IntervalSet]], r:
             if head.highs and c < head.highs[-1]:
                 return head.cut(ZERO, cap)
             lows, highs = _cut(below.lows, below.highs, entries[i][0].terms, c)
-            return IntervalSet._ends(head.lows + lows, head.highs + highs)
+            return IntervalSet._ends(head.lows + lows, head.highs + highs, below._names)
     if not below.highs or below.highs[-1] <= c:
         return below
     return below.cut(ZERO, cap)
@@ -704,7 +705,7 @@ def check_tree_properties(p: StabilitySystem, k: int,
       so f_{k+1}(g) >= a.  Hence a <_{k+1} b.
     - Closure: every interval of ``P_k(b)`` ends at b or at a successor.  By
       induction on the level and, within a level, on b, over how ``_pred``
-      builds the set.  ``_segment(b)`` is the one interval [0, b).  A level
+      builds the set.  ``_segment(p, b)`` is the one interval [0, b).  A level
       with no keys copies the set below.  ``_step`` cuts pieces of
       ``P_{j-1}(b)`` and of ``P_j(g*)`` at a cap that is b or v_b + 1; a cut
       moves only the end it cuts, to the cap, and cutting at a low end moves

@@ -9,14 +9,18 @@ systems and their mutants:
 - wrapping its ``intervals`` again gives an equal set with the same hash;
 - ``str`` is byte-identical to ``old_text``, the spelling the set had when
   it held ``OrdinalInterval`` objects: ``format_ordinal`` on each end.
+
+The sets of one system spell their ends through the system's table, so
+printing all of them spells each distinct end once.
 """
 
 import random
 
-from stabforce import IntervalSet, pred_set, probe_points
+from stabforce import IntervalSet, ordinal, pred_set, probe_points
 from stabforce.gen import mutate_system, random_system
 from stabforce.ordinal import format_ordinal
 from stabforce.simulate import run_construction
+from stabforce.stability import system_from_dict, system_to_dict
 from test_stability import _chain_pattern, random_invalid_system
 
 
@@ -32,6 +36,7 @@ def assert_flat(s):
     assert all(a < b for a, b in zip(ends, ends[1:])), str(s)
     again = IntervalSet._normalized(s.intervals)
     assert again == s and hash(again) == hash(s)
+    assert s._names is not None
     assert str(s) == old_text(s)
 
 
@@ -60,3 +65,21 @@ def test_kernel_sets_have_ascending_ends_and_old_text():
                 assert_flat(pred_set(p, k, b))
                 count += 1
     assert count > 5000
+
+
+def test_a_system_spells_each_end_once(monkeypatch):
+    # a system read back from its dict shares no rows with a base system
+    p = system_from_dict(system_to_dict(run_construction(_chain_pattern(40)).g))
+    spelled = []
+    real = ordinal._format_terms
+    monkeypatch.setattr(ordinal, "_format_terms", lambda t: spelled.append(t) or real(t))
+    printed = []
+    for k in range(1, p.depth + 2):
+        for b in probe_points(p):
+            s = pred_set(p, k, b)
+            assert s._names is p._names
+            printed.append((s, str(s)))
+    monkeypatch.undo()
+    ends = {t for s, _ in printed for t in s.lows + s.highs}
+    assert len(spelled) == len(set(spelled)) == len(ends) > 40
+    assert all(text == old_text(s) for s, text in printed)
