@@ -23,14 +23,14 @@ keys that constrain b are those that constrain its nearest constraining key
 g*, plus b itself.  Each level's set is therefore g*'s set, joined with the
 level-(k-1) set cut to [g*, b), and cut by b's own value.  As
 a <_k b implies a <_{k-1} b, a point's sets shrink level by level; a level
-without keys keeps the set below it, so they form one row with one set per
-level that carries keys, ``P_{L_1}(b) >= P_{L_2}(b) >= ...``, memoized per
-point and grown upward on demand.  A level number costs nothing: a query at
-level k reads the row at the rank of k among the key levels.  Each level's
-keys are compiled once, in ascending order, into their own rows, which every
-system linked to the compiling one shares; a query adopts a key's row or
-takes one bisection and that one step per key level.  ``_pred`` holds the
-proof.
+without keys keeps the set below it, so they form one row, keyed by the
+levels L_1 < L_2 < ... that carry keys, ``P_{L_1}(b) >= P_{L_2}(b) >= ...``,
+memoized per point and grown upward on demand.  A level number costs
+nothing: a query at level k reads the row at the deepest key level at or
+below k.  Each level's keys are compiled once, in ascending order, into
+their own rows, which every system linked to the compiling one shares; a
+query adopts a key's row or takes one bisection and that one step per key
+level.  ``_pred`` holds the proof.
 """
 
 from __future__ import annotations
@@ -77,10 +77,8 @@ class StabilitySystem:
     The base's keys are therefore the first of its own at every level, so its
     compiled levels (see ``_compiled``) extend the base's, sharing every old
     key's row and violations and every level that gains no key, and the
-    compile pass checks only the new keys.  A system that adds a level links
-    only to a base whose levels all lie below it, so that a row indexed by
-    rank means the same levels in both (see ``_pred``).  The link is
-    semantically invisible and takes no part in equality.
+    compile pass checks only the new keys.  The link is semantically
+    invisible and takes no part in equality.
 
     Such a system is also built from its parent's normalized parts: it shares
     every level tuple and every entry it does not change, so an extension
@@ -157,7 +155,7 @@ class StabilitySystem:
     def with_bound(self, new_bound: Ordinal) -> "StabilitySystem":
         if not isinstance(new_bound, Ordinal):
             raise TypeError("bound must be an Ordinal")
-        return self._derived(new_bound, self.levels, self._base_at_most(new_bound, self.levels))
+        return self._derived(new_bound, self.levels, self._base_at_most(new_bound))
 
     def with_exception(self, k: int, key: Ordinal, value: Ordinal) -> "StabilitySystem":
         lvl = int(k)
@@ -173,29 +171,19 @@ class StabilitySystem:
         if key != value:  # an identity value is the default and is not stored
             level = (lvl, entries[:j] + ((key, value),) + entries[j:])
             levels = levels[:i] + (level,) + levels[i + 1 if has_level else i:]
-        return self._derived(self.bound, levels, self._base_at_most(key, levels))
+        return self._derived(self.bound, levels, self._base_at_most(key))
 
-    def _base_at_most(self, cut: Ordinal, levels: Levels) -> "StabilitySystem | None":
+    def _base_at_most(self, cut: Ordinal) -> "StabilitySystem | None":
         """The nearest system on self's chain (self first) whose bound is at
-        most ``cut``, whose keys all lie below its bound and whose levels are
-        the lowest of ``levels``, the new system's.
+        most ``cut`` and whose keys all lie below its bound.
 
         A system keeping self's exceptions below ``cut`` repeats the found
         system's exceptions below that system's bound.  Only self can fail the
         key clause: links are made only to systems that pass it.
-
-        Every system on the chain has only levels of ``levels``: self's are
-        among them, and self repeats each base's keys, which lie below its
-        bound.  So a system with n levels has the lowest n of ``levels`` iff
-        its deepest is the n-th of them, and then the new system's levels up
-        to that deepest one are exactly its own: a row indexed by rank (see
-        ``_pred``) names the same level in both.  If self passes this clause,
-        so does its base, whose levels are the lowest of self's.
         """
         t = cut.terms
         node = self
-        while node is not None and (t < node.bound.terms or node.levels
-                                    and levels[len(node.levels) - 1][0] != node.levels[-1][0]):
+        while node is not None and t < node.bound.terms:
             node = node._base
         return node if node is not self or self._keys_below_bound() else self._base
 
@@ -348,9 +336,9 @@ def pred_set(p: StabilitySystem, k: int, beta: Ordinal) -> IntervalSet:
 
 
 def _pred(p: StabilitySystem, k: int, beta: Ordinal) -> IntervalSet:
-    """pred_set without the argument checks, read at the rank r of level k:
-    the number of p's levels with keys at or below k, found by one
-    bisection.  Rank 0 gives [0, beta), which is not memoized.
+    """pred_set without the argument checks, read at L, the deepest of p's
+    levels with keys at or below k, found by one bisection.  With no such
+    level the set is [0, beta), which is not memoized.
 
     Write ``P_j(b)`` for the set { a < b : a <_j b } and ``C_j(b)`` for the
     level-j keys g <= b that constrain b: g is a level-j domain point,
@@ -397,21 +385,21 @@ def _pred(p: StabilitySystem, k: int, beta: Ordinal) -> IntervalSet:
     Rows.  As x <_j y implies x <_{j-1} y, ``P_j(b)`` is inside
     ``P_{j-1}(b)``.  A level j without keys has ``C_j(b)`` empty, so
     ``P_j(b) = P_{j-1}(b)``, and the set changes only at the levels
-    L_1 < L_2 < ... that carry keys: ``P_k(b)`` is ``P_{L_r}(b)`` for the
-    rank r of k.  So ``p._memo`` keeps b's sets as one row
-    ``[P_{L_1}(b), ..., P_{L_m}(b)]``, indexed by rank and grown upward on
-    demand by the recurrence, with m at most the number of key levels of the
-    system that grew it; its cost grows with the keys, never with a level
-    number.  Whether a key g binds (is a level-j domain point valued below
-    itself) depends on g alone, and a binding g < b is in ``C_j(b)`` iff it
-    is in ``P_{j-1}(b)``.  So g* is the first such key below b, walking
-    down, and ``_step`` is the recurrence.  ``_compiled`` takes that step
-    once per key, in ascending order, appends the key's ``P_j`` to its row
-    and stores the row itself in the level's array.  A point that is a key
-    adopts, on its first query, the row stored at its highest key level;
-    that row already holds every level at which the point is a key, so each
-    level a row grows by holds the point as no key, and its cap is the point
-    itself.
+    L_1 < L_2 < ... that carry keys: ``P_k(b)`` is ``P_L(b)`` for the
+    deepest key level L at or below k.  So ``p._memo`` keeps b's sets as one
+    row, a dict from level number to set ``{L_1: P_{L_1}(b), L_2: ...}``,
+    filled upward on demand by the recurrence; its cost grows with the keys,
+    never with a level number.  Whether a key g binds (is a level-j domain
+    point valued below itself) depends on g alone, and a binding g < b is in
+    ``C_j(b)`` iff it is in ``P_{j-1}(b)``.  So g* is the first such key
+    below b, walking down, and ``_step`` is the recurrence.  ``_compiled``
+    takes that step once per key, in ascending order, stores the key's
+    ``P_j`` in its row at j and stores the row itself in the level's array.
+    A point that is a key adopts, on its first query, the row stored at its
+    highest key level; that row already holds every level at which the point
+    is a key (every holder has the same keys at or below it, see Sharing),
+    so each level a row is filled at holds the point as no key, and its cap
+    is the point itself.
 
     Sharing.  ``P_j(g)`` depends only on the exceptions at or below g, at
     every level, since the definition quantifies over keys in (a, g] with
@@ -421,20 +409,13 @@ def _pred(p: StabilitySystem, k: int, beta: Ordinal) -> IntervalSet:
     base's bound, and a base's bound is at most its linked system's, so q
     repeats c's exceptions below c's bound.  Links are made only to systems
     whose keys lie below their bound, so g is below c's bound, and q and c
-    have the same exceptions at or below g, at every level: ``P_j(g)`` is
-    the same set in both for every j.
+    have the same exceptions at or below g, at every level.
 
-    A row is indexed by rank, so it also needs each rank to name a level
-    with that set in every holder.  ``_base_at_most`` links a system that
-    adds a level only to a base whose levels all lie below it.  So along
-    every link, and down the chain, q's key levels up to c's deepest level
-    d are exactly c's: rank r names the same level in q and c for every r
-    up to c's count.  Above d, q has no key at or below g: q repeats c's
-    exceptions below c's bound, and c has no key above d.  So every entry
-    that q, or any other holder, appends past c's count is ``P_d(g)``,
-    whichever level its rank names there.  Hence every entry of a shared row
-    is right in every system that holds it, whichever of them appended it,
-    even where the row is longer than the reader's count of key levels.
+    So the entry at level j of g's row, ``P_j(g)``, is the same set in every
+    holder of the row, whichever holder wrote it.  That includes a level the
+    compiling system lacks: a holder may have keys at a level c has none
+    at, but none of them is at or below g, so g is no key there and its set
+    is the one at the key level below, in c as in the holder.
 
     A point that is no key has a row of p's own, and ``_pred`` reads nothing
     but p's memo and p's compiled arrays: it never walks ``_base``.
@@ -447,31 +428,33 @@ def _pred(p: StabilitySystem, k: int, beta: Ordinal) -> IntervalSet:
     if not r:
         return _segment(p, beta)
     row = p._memo.get(beta)
-    if row is not None and r <= len(row):
-        return row[r - 1]
+    if row is not None and (s := row.get(p.levels[r - 1][0])) is not None:
+        return s
     return _grow(p, r, beta, row)
 
 
-def _grow(p: StabilitySystem, r: int, beta: Ordinal, row: list | None) -> IntervalSet:
-    """beta's set at p's r-th level with keys, after growing beta's row (None
-    before its first query) up to that level."""
+def _grow(p: StabilitySystem, r: int, beta: Ordinal, row: dict | None) -> IntervalSet:
+    """beta's set at p's r-th level with keys, after filling beta's row (None
+    before its first query) at every key level up to that one."""
     levels = p._compiled
     if levels is None:
         levels = _compiled(p)
     t = beta.terms
     if row is None:
-        row = []
+        row = {}
         for _, terms, _, rows, _ in reversed(levels.values()):
             i = bisect_left(terms, t)
             if i < len(terms) and terms[i] == t:
                 row = rows[i]
                 break
         p._memo[beta] = row
-    below = row[-1] if row else _segment(p, beta)
-    for entries, terms, binds, rows, _ in islice(levels.values(), len(row), r):
-        below = _step(entries, binds, rows, len(row), bisect_left(terms, t), below, beta)
-        row.append(below)
-    return row[r - 1]
+    below = None
+    for j, (entries, terms, binds, rows, _) in islice(levels.items(), r):
+        if (s := row.get(j)) is None:
+            s = row[j] = _step(entries, binds, rows, j, bisect_left(terms, t),
+                               _segment(p, beta) if below is None else below, beta)
+        below = s
+    return below
 
 
 def _segment(p: StabilitySystem, beta: Ordinal) -> IntervalSet:
@@ -484,9 +467,8 @@ def _compiled(p: StabilitySystem) -> dict:
     """p's levels, each compiled in one ascending pass, and p's validation
     report.  Level j maps to ``(entries, terms, binds, rows, violations)``:
     per key its CNF terms, whether it binds (is a level-j domain point valued
-    below itself) and its row, the list of its sets at the levels with keys
-    from the lowest up, which holds at least ``P_j``; then the level's V2-V5
-    violations.
+    below itself) and its row, the dict of its sets by level number, which
+    holds at least ``P_j``; then the level's V2-V5 violations.
 
     Each of V2-V5 is read off two sets the pass holds for a key g:
     ``below`` = ``P_{j-1}(g)``, whose top ends at a limit iff g is in the
@@ -511,7 +493,7 @@ def _compiled(p: StabilitySystem) -> dict:
         node._compiled = levels = {}
         memo = node._memo
         bound = node.bound.terms
-        for r, (j, entries) in enumerate(node.levels):
+        for j, entries in node.levels:
             old = base.get(j)
             n = len(old[0]) if old else 0
             if n == len(entries):
@@ -522,13 +504,13 @@ def _compiled(p: StabilitySystem) -> dict:
             for g, v in entries[n:]:
                 below = _pred(node, j - 1, g)
                 row = memo.get(g)
-                if row is None:  # a key at the first level: level 0 is not memoized
-                    row = memo[g] = []
+                if row is None:  # a key at the lowest key level: level 0 is not memoized
+                    row = memo[g] = {}
                 highs = below.highs
                 dom = bool(highs) and highs[-1][-1][0] >= 1
                 bind = dom and v.terms < g.terms
-                own = _step(entries, binds, rows, r, len(terms), below, v + ONE if bind else g)
-                row.append(own)
+                own = row[j] = _step(entries, binds, rows, j, len(terms), below,
+                                     v + ONE if bind else g)
                 terms.append(g.terms)
                 binds.append(bind)
                 rows.append(row)
@@ -574,18 +556,18 @@ def _blocking_witness(g: StabilitySystem, k: int, alpha: Ordinal,
                 if bind and alpha < key and value < alpha and below.member(key))
 
 
-def _step(entries: Entries, binds: list[bool], rows: list[list[IntervalSet]], r: int,
+def _step(entries: Entries, binds: list[bool], rows: list[dict[int, IntervalSet]], j: int,
           i: int, below: IntervalSet, cap: Ordinal) -> IntervalSet:
-    """P_j(b) by ``_pred``'s recurrence, for the level j whose sets a row holds
-    at index r and a point b above the first i keys of level j, from
-    ``below`` = P_{j-1}(b) and b's cap: v_b + 1 when b binds, else b.  That
-    is ``P_j(g*)`` cut at the cap when the cap cuts into it, else
-    ``P_j(g*)`` followed by ``below`` cut to [g*, cap); with no g*, ``below``
-    itself when the cap cuts nothing, else ``below`` cut at it."""
+    """P_j(b) by ``_pred``'s recurrence, for a point b above the first i keys
+    of level j, from ``below`` = P_{j-1}(b) and b's cap: v_b + 1 when b
+    binds, else b.  That is ``P_j(g*)``, read from g*'s row at j, cut at the
+    cap when the cap cuts into it, else ``P_j(g*)`` followed by ``below`` cut
+    to [g*, cap); with no g*, ``below`` itself when the cap cuts nothing,
+    else ``below`` cut at it."""
     c = cap.terms
     for i in range(i - 1, -1, -1):
         if binds[i] and below.member(entries[i][0]):
-            head = rows[i][r]
+            head = rows[i][j]
             if head.highs and c < head.highs[-1]:
                 return head.cut(ZERO, cap)
             lows, highs = _cut(below.lows, below.highs, entries[i][0].terms, c)
@@ -781,9 +763,8 @@ def check_predecessor_laws(p: StabilitySystem, k: int) -> CheckReport:
     violations: list[Violation] = []
     entries, _, binds, rows, _ = _compiled(p).get(k) or ((), (), (), (), ())
     bound = p.bound.terms
-    r = bisect_right(p.levels, k, key=itemgetter(0)) - 1
     for (g, v), bind, row in zip(entries, binds, rows):
-        s = row[r]
+        s = row[k]
         if bind and g.terms < bound and not s.member(v):
             got = s.max_element() if s.highs and s.has_max() else "none"
             violations.append(Violation(

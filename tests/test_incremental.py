@@ -213,15 +213,6 @@ def linear_base_at_most(p: StabilitySystem, cut):
     return node
 
 
-def below_new_levels(node, p: StabilitySystem, q: StabilitySystem):
-    """The first system from node down the chain whose levels all lie below
-    every level that q, the system made from p, adds."""
-    new = min({k for k, _ in q.levels} - {k for k, _ in p.levels}, default=float("inf"))
-    while node is not None and not all(k < new for k, _ in node.levels):
-        node = node._base
-    return node
-
-
 def chain_of(q: StabilitySystem) -> list[StabilitySystem]:
     out = []
     while q is not None:
@@ -234,17 +225,16 @@ def assert_compiled_extends_base(q: StabilitySystem) -> None:
     """Each of q's compiled levels is its base's object when it gains no key,
     and otherwise starts with the base's keys, flags and violations; every
     old key's row is its base's very object.  A key has one row at all its
-    levels, indexed by the rank of a level among q's levels, holding at least
-    its own level's set."""
+    levels, keyed by level number, holding at least its own level's set."""
     levels = _compiled(q)
     assert list(levels) == [k for k, _ in q.levels]
     row_of: dict = {}
-    for rank, (k, (entries, terms, binds, rows, violations)) in enumerate(levels.items(), 1):
+    for k, (entries, terms, binds, rows, violations) in levels.items():
         assert entries == q.entries_at(k)
         assert terms == [g.terms for g, _ in entries]
         assert len(binds) == len(rows) == len(entries)
         for (g, _), row in zip(entries, rows):
-            assert len(row) >= rank and row_of.setdefault(g, row) is row, (k, g)
+            assert k in row and row_of.setdefault(g, row) is row, (k, g)
         assert all(x.level == k for x in violations)
     if q._base is None:
         return
@@ -332,7 +322,7 @@ def test_extensions_share_structure_and_match_cold(made_from, make):
     assert made_from
     for parent, cut, q in made_from:
         assert_structure_matches_cold(q)
-        assert q._base is below_new_levels(linear_base_at_most(parent, cut), parent, q)
+        assert q._base is linear_base_at_most(parent, cut)
         assert_compiled_extends_base(q)
 
 
@@ -457,7 +447,7 @@ def test_siblings_and_a_rejected_candidate_share_rows_soundly(made):
                 for q, r in zip(systems, colds):
                     if b < q.bound:
                         assert _pred(q, k, b) == _pred(r, k, b), (q, k, b)
-    grown = [row for row in _compiled(base)[1][3] if len(row) > base.depth]
+    grown = [row for row in _compiled(base)[1][3] if max(row) > base.depth]
     assert grown and all(any(row is x for x in deep._memo.values()) for row in grown)
     for q, r in zip(systems, colds):
         assert validate(q) == validate(r)

@@ -1,10 +1,10 @@
-"""Rows indexed by the rank of a level among the levels that carry keys.
+"""Rows keyed by level number, holding a set only at the levels that carry keys.
 
 A level without keys keeps the level below's order, so a system whose key
 levels are renumbered, in order, answers every query at a key level as the
 original does at the matching one, and at a gap level as at the key level
 below it.  Deep level numbers therefore cost nothing, and a system that adds
-a level links only to a base whose levels lie below it.
+a level below its parent's deepest still links to its end-extension base.
 """
 
 import random
@@ -13,11 +13,16 @@ import tracemalloc
 
 from stabforce import StabilitySystem
 from stabforce.cli import main
+from stabforce.errors import TargetNotReachableError
 from stabforce.gen import mutate_system, random_chain, random_system
+from stabforce.ordinal import OMEGA
 from stabforce.ordinal import parse_ordinal as O
+from stabforce.poset import extend_with_top_exception
 from stabforce.simulate import make_pattern, run_construction
 from stabforce.stability import (
     Violation,
+    _compiled,
+    _pred,
     dom_f,
     f_eval,
     is_k_lim2,
@@ -27,9 +32,15 @@ from stabforce.stability import (
     pred_set,
     probe_points,
     system_from_json,
+    system_to_json,
     validate,
 )
-from test_incremental import assert_same_as_cold, made_from  # noqa: F401  (fixture)
+from test_incremental import (  # noqa: F401  (fixture)
+    assert_same_as_cold,
+    linear_base_at_most,
+    made_from,
+    random_pattern,
+)
 
 DEEP = 300_000_000
 RENUMBER = {1: 1, 2: 7, 3: 1000, 4: DEEP}
@@ -37,8 +48,9 @@ RENUMBER = {1: 1, 2: 7, 3: 1000, 4: DEEP}
 LEVELS = sorted({m + d for m in RENUMBER.values() for d in (-1, 0, 1)} - {0})
 GRID = 6
 # A kernel stepping through every level number took about 18 s on the deep
-# file and ran out of memory; rank rows take milliseconds.  The bound is loose
-# so that a loaded machine does not fail it, and tracemalloc checks the cost.
+# file and ran out of memory; rows with sets only at key levels take
+# milliseconds.  The bound is loose so that a loaded machine does not fail
+# it, and tracemalloc checks the cost.
 SLOW_S = 2.0
 
 
@@ -125,9 +137,9 @@ def test_renumbered_levels_answer_as_the_dense_ones():
 
 def test_a_construction_whose_pin_levels_go_down_matches_cold(made_from):
     """The pins go to level 3, then 1, then 2.  Levels 1 and 2 first appear
-    below the deepest level, 4, so the systems that add them link only to a
-    base whose levels lie below them, never to their parent, and every step
-    answers as its cold rebuild does."""
+    below the deepest level, 4, so the systems that add them link to a base
+    with a level deeper than the one they add, and every step answers as its
+    cold rebuild does."""
     pattern = make_pattern([("w*6", True, [1, 2]), ("w*20", True, []), ("w*30", True, [1])],
                            [("w*6", "w*20", 1), ("w*20", "w*30", 1)])
     result = run_construction(pattern)
@@ -135,14 +147,68 @@ def test_a_construction_whose_pin_levels_go_down_matches_cold(made_from):
     for step in result.trace:
         assert_same_as_cold(step.system)
     added_below = 0
-    for parent, _, q in made_from:
+    for parent, cut, q in made_from:
         new = {k for k, _ in q.levels} - {k for k, _ in parent.levels}
-        if new and q._base is not None:
-            assert all(k < min(new) for k, _ in q._base.levels), q
         if new and parent.levels and min(new) < parent.levels[-1][0]:
-            assert q._base is not parent, q
+            assert q._base is linear_base_at_most(parent, cut), q
+            assert q._base.depth > min(new), q
             added_below += 1
     assert added_below >= 2
+
+
+def unshared_rows(result) -> int:
+    """How many compiled keys of the systems along a construction's trace
+    hold a row other than the final system's row for that key."""
+    final = {}
+    for entries, _, _, rows, _ in _compiled(result.g).values():
+        for (g, _), row in zip(entries, rows):
+            final.setdefault(g, row)
+    return sum(row is not final[g] for step in result.trace
+               for entries, _, _, rows, _ in _compiled(step.system).values()
+               for (g, _), row in zip(entries, rows))
+
+
+def test_a_construction_compiles_each_key_once():
+    """Along a construction, every system holds the final system's row for
+    each of its keys, also where a step adds a level below its parent's
+    deepest, so no key of the trace is compiled twice."""
+    pins_going_down = make_pattern(
+        [("w*6", True, [1, 2]), ("w*20", True, []), ("w*30", True, [1])],
+        [("w*6", "w*20", 1), ("w*20", "w*30", 1)])
+    results = [run_construction(pins_going_down)]
+    rng = random.Random(19)
+    while len(results) < 21:
+        try:
+            results.append(run_construction(random_pattern(rng, 7, len(results) % 2 == 0)))
+        except TargetNotReachableError:
+            pass
+    for result in results:
+        assert unshared_rows(result) == 0, result.g
+
+
+def test_siblings_that_add_a_level_below_the_deepest_share_rows_soundly():
+    """A base with levels 3 and 4 gets two siblings that add level 1 and
+    level 2.  Both link to the base and share its key rows, which they fill
+    at a level the base lacks.  Queried interleaved, in both level orders,
+    each system answers as its cold rebuild does."""
+    base = run_construction(make_pattern([("w*6", True, [1, 2])], [])).g
+    assert [k for k, _ in base.levels] == [3, 4]
+    siblings = [extend_with_top_exception(base, base.top + OMEGA, lvl, O("0")) for lvl in (1, 2)]
+    assert all(q._base is base for q in siblings)
+    systems = [base, *siblings]
+    colds = [system_from_json(system_to_json(q)) for q in systems]
+    pts = sorted({b for q in systems for b in probe_points(q)}, key=lambda a: a.terms)
+    levels = range(7)
+    for order in (levels, levels[::-1]):
+        for b in pts:
+            for k in order:
+                for q, r in zip(systems, colds):
+                    if b < q.bound:
+                        assert _pred(q, k, b) == _pred(r, k, b), (q, k, b)
+    level3 = _compiled(base)[3][3]
+    assert any(row is x for q in siblings for x in q._memo.values() for row in level3)
+    for q, r in zip(systems, colds):
+        assert validate(q) == validate(r)
 
 
 def run_timed(capsys, *argv):

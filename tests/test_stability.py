@@ -258,9 +258,9 @@ def test_negative_level_is_rejected(pstar):
 
 def test_level_zero_sets_are_not_cached():
     """``dom_f`` at level 1 and V4 at level 1 read level-0 sets, [0, b); they
-    are built on the spot, never stored.  A point's row holds its sets at the
-    levels that carry keys, lowest first, and is never longer than their
-    count, even after a query at a level far above them."""
+    are built on the spot, never stored.  A point's row holds its sets at
+    levels that carry keys, keyed by level number, and is never longer than
+    their count, even after a query at a level far above them."""
     g = run_construction(_chain_pattern(40)).g
     q = system_from_json(system_to_json(g))  # link-free: every row is memoized on q
     assert validate(q).valid
@@ -269,7 +269,8 @@ def test_level_zero_sets_are_not_cached():
         assert q._memo
         for b, row in q._memo.items():
             assert 1 <= len(row) <= len(q.levels), (b, len(row))
-            assert row == [pred_set(g, k, b) for k, _ in q.levels[:len(row)]], b
+            assert row.keys() <= {k for k, _ in q.levels}, b
+            assert row == {k: pred_set(g, k, b) for k in row}, b
 
     assert_rows()
     b = O("w*6+1")
