@@ -168,14 +168,14 @@ def cmd_extend(args) -> int:
         q = canonical_extend(p, parse_ordinal(args.to))
     else:
         q = extend_to_chain_limit(p, args.chain_limit, parse_ordinal(args.target))
-    _emit(args.json, lambda: system_to_dict(q), lambda: system_to_json(q))
+    print(system_to_json(q))  # a system file, with or without --json
     return OK
 
 
 def cmd_infimum(args) -> int:
     chain = chain_from_dict(_load_json(args.chain))
     q = chain_infimum(chain)
-    _emit(args.json, lambda: system_to_dict(q), lambda: system_to_json(q))
+    print(system_to_json(q))  # a system file, with or without --json
     return OK
 
 

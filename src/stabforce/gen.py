@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 
-from .ordinal import OMEGA, Ordinal
+from .ordinal import OMEGA, ZERO, Ordinal
 from .poset import canonical_extend, extend_to_chain_limit, extend_with_top_exception
 from .stability import StabilitySystem, pred_set
 
@@ -79,7 +79,7 @@ def random_step(rng: random.Random, p: StabilitySystem, *,
     ell = rng.randrange(1, MAX_STEP_LEVEL + 1)
     lam = p.top + OMEGA
     base = canonical_extend(p, lam)
-    reachable = pred_set(base, ell + 1, lam).filter_below(p.top + Ordinal.from_int(1))
+    reachable = pred_set(base, ell + 1, lam).cut(ZERO, p.top + Ordinal.from_int(1))
     target = _sample_member(rng, reachable)
     if target is None:
         return canonical_extend(p, lam), ALL_LEVELS_GUARANTEE

@@ -347,12 +347,6 @@ class IntervalSet:
                      for lo, hi in zip(self.lows, self.highs))
 
     @classmethod
-    def _normalized(cls, intervals: Iterable[OrdinalInterval]) -> "IntervalSet":
-        """Wrap intervals that are already sorted, disjoint and non-adjacent."""
-        ivs = tuple(intervals)
-        return cls._ends(tuple(iv.low.terms for iv in ivs), tuple(iv.high.terms for iv in ivs))
-
-    @classmethod
     def _ends(cls, lows: tuple[Terms, ...], highs: tuple[Terms, ...],
               names: dict[Terms, str] | None = None) -> "IntervalSet":
         """Wrap the end tuples of intervals already sorted, disjoint and
@@ -405,10 +399,6 @@ class IntervalSet:
     def cut(self, lo: Ordinal, hi: Ordinal) -> "IntervalSet":
         """The members in [lo, hi), found by two bisections; empty unless lo < hi."""
         return IntervalSet._ends(*_cut(self.lows, self.highs, lo.terms, hi.terms), self._names)
-
-    def filter_below(self, alpha: Ordinal) -> "IntervalSet":
-        """Members strictly below alpha."""
-        return self.cut(ZERO, alpha)
 
     def __iter__(self) -> Iterator[OrdinalInterval]:
         return iter(self.intervals)

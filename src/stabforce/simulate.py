@@ -373,15 +373,16 @@ def minimality_report(result: SimulationResult, grid: Iterable[Ordinal]) -> Mini
     Theta is the first fresh limit above the final top and the grid, and the
     system is extended canonically to it.  A grid point survives level k when
     it sits below theta in the level-k order, that is, when it is in
-    ``P_k(theta)``, the level-k predecessor set of theta.  These sets shrink
-    as k grows, so a point's blocking level is the least k whose set misses
-    it, and the survivors are exactly the grid points in ``P_depth(theta)``:
-    one predecessor set per level with keys decides every point, as a level
-    without keys keeps the set below it.  The blocking witness
-    is the least key that kills the point at that level.  Survivors are
-    reported only within the settled region (at most the last exception
-    key): the canonical tail above the keys cannot be blocked by a finite
-    truncation, so survival out there carries no information.
+    ``P_k(theta)``, the level-k predecessor set of theta.  One set per level
+    with keys decides every point, as a level without keys keeps the set
+    below it.  A point's blocking level is the least k whose set misses it,
+    and the blocking witness is the least key that kills it there.  The sets
+    are nested and ``sets[0]`` is [0, theta), which holds the whole grid, so
+    a point has no blocking level exactly when it is in ``sets[-1]``: the
+    survivors are read off the fates.  They are reported only within the
+    settled region (at most the last exception key): the canonical tail
+    above the keys cannot be blocked by a finite truncation, so survival out
+    there carries no information.
     """
     g = result.g
     pts = sorted(set(grid), key=lambda a: a.terms)
@@ -397,7 +398,7 @@ def minimality_report(result: SimulationResult, grid: Iterable[Ordinal]) -> Mini
         blocked = None if i is None else _blocking_witness(ghat, levels[i], alpha, sets[i - 1])
         settled = last_key is not None and alpha <= last_key
         fates.append(PointFate(alpha=alpha, settled=settled, blocked_at=blocked))
-    survivors = tuple(f.alpha for f in fates if f.settled and sets[-1].member(f.alpha))
+    survivors = tuple(f.alpha for f in fates if f.settled and f.survives)
     return MinimalityReport(theta=theta, last_key=last_key,
                             fates=tuple(fates), survivors=survivors)
 

@@ -25,12 +25,13 @@ level-(k-1) set cut to [g*, b), and cut by b's own value.  As
 a <_k b implies a <_{k-1} b, a point's sets shrink level by level; a level
 without keys keeps the set below it, so they form one row, keyed by the
 levels L_1 < L_2 < ... that carry keys, ``P_{L_1}(b) >= P_{L_2}(b) >= ...``,
-memoized per point and grown upward on demand.  A level number costs
-nothing: a query at level k reads the row at the deepest key level at or
-below k.  Each level's keys are compiled once, in ascending order, into
-their own rows, which every system linked to the compiling one shares; a
-query adopts a key's row or takes one bisection and that one step per key
-level.  ``_pred`` holds the proof.
+memoized per point under its CNF terms and grown upward on demand.  A level
+number costs nothing: a query at level k reads the row at the deepest key
+level at or below k.  Each level's keys are compiled once, in ascending
+order; a binding key's row is stored (None for one that binds nothing) and
+shared by every system linked to the compiling one.  A query adopts a
+binding key's row or takes one bisection and step per key level (proof in
+``_pred``).
 """
 
 from __future__ import annotations
@@ -76,9 +77,9 @@ class StabilitySystem:
     lie below its own bound and whose exceptions it repeats below that bound.
     The base's keys are therefore the first of its own at every level, so its
     compiled levels (see ``_compiled``) extend the base's, sharing every old
-    key's row and violations and every level that gains no key, and the
-    compile pass checks only the new keys.  The link is semantically
-    invisible and takes no part in equality.
+    binding key's row, every violation and every level that gains no key,
+    and the compile pass checks only the new keys.  The link is semantically
+    invisible and takes no part in equality.  ``_memo`` keys rows by CNF terms.
 
     Such a system is also built from its parent's normalized parts: it shares
     every level tuple and every entry it does not change, so an extension
@@ -387,19 +388,23 @@ def _pred(p: StabilitySystem, k: int, beta: Ordinal) -> IntervalSet:
     ``P_j(b) = P_{j-1}(b)``, and the set changes only at the levels
     L_1 < L_2 < ... that carry keys: ``P_k(b)`` is ``P_L(b)`` for the
     deepest key level L at or below k.  So ``p._memo`` keeps b's sets as one
-    row, a dict from level number to set ``{L_1: P_{L_1}(b), L_2: ...}``,
-    filled upward on demand by the recurrence; its cost grows with the keys,
-    never with a level number.  Whether a key g binds (is a level-j domain
-    point valued below itself) depends on g alone, and a binding g < b is in
-    ``C_j(b)`` iff it is in ``P_{j-1}(b)``.  So g* is the first such key
-    below b, walking down, and ``_step`` is the recurrence.  ``_compiled``
-    takes that step once per key, in ascending order, stores the key's
-    ``P_j`` in its row at j and stores the row itself in the level's array.
-    A point that is a key adopts, on its first query, the row stored at its
-    highest key level; that row already holds every level at which the point
-    is a key (every holder has the same keys at or below it, see Sharing),
-    so each level a row is filled at holds the point as no key, and its cap
-    is the point itself.
+    row under b's CNF terms, a dict from level number to set
+    ``{L_1: P_{L_1}(b), L_2: ...}``, filled upward on demand by the
+    recurrence; its cost grows with the keys, never with a level number.
+    Whether a key g binds (is a level-j domain point valued below itself)
+    depends on g alone, and a binding g < b is in ``C_j(b)`` iff it is in
+    ``P_{j-1}(b)``.  So g* is the first such key below b, walking down, and
+    ``_step`` is the recurrence.  ``_compiled`` takes that step once per
+    key, in ascending order, stores the key's ``P_j`` in its row at j, and
+    stores the row in the level's array if the key binds, else None: a key
+    that binds nothing caps at itself, as a point that is no key does, so
+    only a binding key's cap, v + 1, needs the stored row.  In a valid
+    system every key binds (V2 puts it in the domain, and V3 makes v < g,
+    identity values not being stored), so None appears only in invalid
+    systems.  A key adopts, on its first query, the row stored at its
+    highest binding level; that row holds every level where the point binds
+    (every holder has the same keys at or below it, see Sharing), so each
+    level a row is filled at caps the point at itself.
 
     Sharing.  ``P_j(g)`` depends only on the exceptions at or below g, at
     every level, since the definition quantifies over keys in (a, g] with
@@ -427,7 +432,7 @@ def _pred(p: StabilitySystem, k: int, beta: Ordinal) -> IntervalSet:
     r = bisect_right(p.levels, k, key=itemgetter(0))
     if not r:
         return _segment(p, beta)
-    row = p._memo.get(beta)
+    row = p._memo.get(beta.terms)
     if row is not None and (s := row.get(p.levels[r - 1][0])) is not None:
         return s
     return _grow(p, r, beta, row)
@@ -435,23 +440,24 @@ def _pred(p: StabilitySystem, k: int, beta: Ordinal) -> IntervalSet:
 
 def _grow(p: StabilitySystem, r: int, beta: Ordinal, row: dict | None) -> IntervalSet:
     """beta's set at p's r-th level with keys, after filling beta's row (None
-    before its first query) at every key level up to that one."""
+    before its first query, when the row stored at beta's highest binding key
+    level, if any, is adopted) at every key level up to that one."""
     levels = p._compiled
     if levels is None:
         levels = _compiled(p)
     t = beta.terms
     if row is None:
         row = {}
-        for _, terms, _, rows, _ in reversed(levels.values()):
+        for _, terms, rows, _ in reversed(levels.values()):
             i = bisect_left(terms, t)
-            if i < len(terms) and terms[i] == t:
+            if i < len(terms) and terms[i] == t and rows[i] is not None:
                 row = rows[i]
                 break
-        p._memo[beta] = row
+        p._memo[t] = row
     below = None
-    for j, (entries, terms, binds, rows, _) in islice(levels.items(), r):
+    for j, (entries, terms, rows, _) in islice(levels.items(), r):
         if (s := row.get(j)) is None:
-            s = row[j] = _step(entries, binds, rows, j, bisect_left(terms, t),
+            s = row[j] = _step(entries, rows, j, bisect_left(terms, t),
                                _segment(p, beta) if below is None else below, beta)
         below = s
     return below
@@ -465,10 +471,12 @@ def _segment(p: StabilitySystem, beta: Ordinal) -> IntervalSet:
 
 def _compiled(p: StabilitySystem) -> dict:
     """p's levels, each compiled in one ascending pass, and p's validation
-    report.  Level j maps to ``(entries, terms, binds, rows, violations)``:
-    per key its CNF terms, whether it binds (is a level-j domain point valued
-    below itself) and its row, the dict of its sets by level number, which
-    holds at least ``P_j``; then the level's V2-V5 violations.
+    report.  Level j maps to ``(entries, terms, rows, violations)``: per key
+    its CNF terms and, if it binds (is a level-j domain point valued below
+    itself), its memo row, the dict of its sets by level number, holding at
+    least ``P_j``, else None; then the level's V2-V5 violations.  A key that
+    binds nothing caps at itself, as a non-key does, so no step reads its
+    row; in a valid system every key binds (V2, and V3: see ``_pred``).
 
     Each of V2-V5 is read off two sets the pass holds for a key g:
     ``below`` = ``P_{j-1}(g)``, whose top ends at a limit iff g is in the
@@ -476,10 +484,11 @@ def _compiled(p: StabilitySystem) -> dict:
     ``own`` = ``P_j(g)``, which holds v iff v <_j g (V5).  A key's row, and
     its violations once it is below the bound, depend only on the exceptions
     at or below it (see ``_pred``), so a linked system extends its base's
-    arrays and violations by its new keys, sharing every old key's row, and
-    shares a level that gains none.  Its new keys, ``entries[n:]`` past the
-    base's n, are exactly those at or above the base's bound: the base's keys
-    all lie below that bound, and the linked system repeats them there.
+    arrays and violations by its new keys, sharing every old binding key's
+    row, and shares a level that gains none.  Its new keys, ``entries[n:]``
+    past the base's n, are exactly those at or above the base's bound: the
+    base's keys all lie below that bound, and the linked system repeats them
+    there.
     ``_report`` holds V1, then the levels in order.  The links are walked in
     a loop, oldest system first.
     """
@@ -499,21 +508,20 @@ def _compiled(p: StabilitySystem) -> dict:
             if n == len(entries):
                 levels[j] = old
                 continue
-            terms, binds, rows = (old[1][:], old[2][:], old[3][:]) if old else ([], [], [])
-            found = list(old[4]) if old else []
+            terms, rows = (old[1][:], old[2][:]) if old else ([], [])
+            found = list(old[3]) if old else []
             for g, v in entries[n:]:
                 below = _pred(node, j - 1, g)
-                row = memo.get(g)
+                row = memo.get(g.terms)
                 if row is None:  # a key at the lowest key level: level 0 is not memoized
-                    row = memo[g] = {}
+                    row = memo[g.terms] = {}
                 highs = below.highs
                 dom = bool(highs) and highs[-1][-1][0] >= 1
                 bind = dom and v.terms < g.terms
-                own = row[j] = _step(entries, binds, rows, j, len(terms), below,
+                own = row[j] = _step(entries, rows, j, len(terms), below,
                                      v + ONE if bind else g)
                 terms.append(g.terms)
-                binds.append(bind)
-                rows.append(row)
+                rows.append(row if bind else None)
                 at_lim2 = bind and g.is_lim2 and highs[-1] == g.terms
                 fits = bind and own.member(v)
                 if at_lim2 or not (fits and g.terms < bound):  # text only for a violation
@@ -533,11 +541,11 @@ def _compiled(p: StabilitySystem) -> dict:
                         if not fits:
                             found.append(Violation("V5", j, subject, f"value {v} not below "
                                                    f"key in the level-{j} order"))
-            levels[j] = (entries, terms, binds, rows, tuple(found))
+            levels[j] = (entries, terms, rows, tuple(found))
         violations = [] if node.bound.is_successor else [
             Violation("V1", 0, format_ordinal(node.bound), "bound must be a successor ordinal")]
         for level in levels.values():
-            violations += level[4]
+            violations += level[3]
         node._report = ValidationReport(valid=not violations, violations=tuple(violations))
     return p._compiled
 
@@ -549,24 +557,25 @@ def _blocking_witness(g: StabilitySystem, k: int, alpha: Ordinal,
 
     One always exists: by the definition of the order, such an alpha has a
     level-k key in (alpha, b] valued below alpha that constrains b.  As b is
-    above every key, that is: the key binds and is in ``below``.
+    above every key, that is: the key has a stored row and is in ``below``.
     """
-    entries, _, binds, _, _ = _compiled(g)[k]
-    return next((k, key, value) for (key, value), bind in zip(entries, binds)
-                if bind and alpha < key and value < alpha and below.member(key))
+    entries, _, rows, _ = _compiled(g)[k]
+    return next((k, key, value) for (key, value), row in zip(entries, rows)
+                if row is not None and alpha < key and value < alpha and below.member(key))
 
 
-def _step(entries: Entries, binds: list[bool], rows: list[dict[int, IntervalSet]], j: int,
-          i: int, below: IntervalSet, cap: Ordinal) -> IntervalSet:
+def _step(entries: Entries, rows: list[dict[int, IntervalSet] | None], j: int, i: int,
+          below: IntervalSet, cap: Ordinal) -> IntervalSet:
     """P_j(b) by ``_pred``'s recurrence, for a point b above the first i keys
     of level j, from ``below`` = P_{j-1}(b) and b's cap: v_b + 1 when b
-    binds, else b.  That is ``P_j(g*)``, read from g*'s row at j, cut at the
+    binds, else b.  g* is the first key in ``below`` with a stored row,
+    walking down.  That is ``P_j(g*)``, read from g*'s row at j, cut at the
     cap when the cap cuts into it, else ``P_j(g*)`` followed by ``below`` cut
     to [g*, cap); with no g*, ``below`` itself when the cap cuts nothing,
     else ``below`` cut at it."""
     c = cap.terms
     for i in range(i - 1, -1, -1):
-        if binds[i] and below.member(entries[i][0]):
+        if rows[i] is not None and below.member(entries[i][0]):
             head = rows[i][j]
             if head.highs and c < head.highs[-1]:
                 return head.cut(ZERO, cap)
@@ -745,11 +754,11 @@ def check_predecessor_laws(p: StabilitySystem, k: int) -> CheckReport:
     point, from level k of the compile pass (``_compiled``).
 
     Largest predecessor.  The keys the clause asks about, level-k domain
-    points valued below themselves, are those the pass flags as binding.  A
-    binding key's ``P_k(g)`` is cut at v + 1, so its maximum is v iff v is in
-    ``P_k(g)``, which is V5's ``own.member(v)``.  So the violations are the
-    binding keys below the bound whose row does not hold v at level k, in key
-    order.  A key at or above the bound is reported by ``validate`` as V2.
+    points valued below themselves, are the keys with a stored row.  Such a
+    key's ``P_k(g)`` is cut at v + 1, so its maximum is v iff v is in
+    ``P_k(g)``, which is V5's ``own.member(v)``.  So the violations are
+    those keys, below the bound, whose row does not hold v at level k, in
+    key order.  A key at or above the bound is V2 in ``validate``.
 
     Unboundedness holds in every system, so it is never reported.  Let alpha
     be a level-(k-1) lim2 point with f_k(alpha) = alpha.  Identity values are
@@ -761,11 +770,10 @@ def check_predecessor_laws(p: StabilitySystem, k: int) -> CheckReport:
     level-k limit.
     """
     violations: list[Violation] = []
-    entries, _, binds, rows, _ = _compiled(p).get(k) or ((), (), (), (), ())
+    entries, _, rows, _ = _compiled(p).get(k) or ((), (), (), ())
     bound = p.bound.terms
-    for (g, v), bind, row in zip(entries, binds, rows):
-        s = row[k]
-        if bind and g.terms < bound and not s.member(v):
+    for (g, v), row in zip(entries, rows):
+        if row is not None and g.terms < bound and not (s := row[k]).member(v):
             got = s.max_element() if s.highs and s.has_max() else "none"
             violations.append(Violation(
                 "largest-predecessor", k, format_ordinal(g),

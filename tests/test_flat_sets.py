@@ -34,7 +34,7 @@ def assert_flat(s):
     assert type(lows) is tuple and type(highs) is tuple and len(lows) == len(highs)
     ends = [t for pair in zip(lows, highs) for t in pair]
     assert all(a < b for a, b in zip(ends, ends[1:])), str(s)
-    again = IntervalSet._normalized(s.intervals)
+    again = IntervalSet(s.intervals)
     assert again == s and hash(again) == hash(s)
     assert s._names is not None
     assert str(s) == old_text(s)

@@ -223,16 +223,16 @@ def chain_of(q: StabilitySystem) -> list[StabilitySystem]:
 
 def assert_compiled_extends_base(q: StabilitySystem) -> None:
     """Each of q's compiled levels is its base's object when it gains no key,
-    and otherwise starts with the base's keys, flags and violations; every
+    and otherwise starts with the base's keys, rows and violations; every
     old key's row is its base's very object.  A key has one row at all its
     levels, keyed by level number, holding at least its own level's set."""
     levels = _compiled(q)
     assert list(levels) == [k for k, _ in q.levels]
     row_of: dict = {}
-    for k, (entries, terms, binds, rows, violations) in levels.items():
+    for k, (entries, terms, rows, violations) in levels.items():
         assert entries == q.entries_at(k)
         assert terms == [g.terms for g, _ in entries]
-        assert len(binds) == len(rows) == len(entries)
+        assert len(rows) == len(entries)
         for (g, _), row in zip(entries, rows):
             assert k in row and row_of.setdefault(g, row) is row, (k, g)
         assert all(x.level == k for x in violations)
@@ -241,11 +241,11 @@ def assert_compiled_extends_base(q: StabilitySystem) -> None:
     for k, old in _compiled(q._base).items():
         new = levels[k]
         if len(new[0]) == len(old[0]):
-            assert new is old and new[4] is old[4], k
+            assert new is old and new[3] is old[3], k
         else:
-            assert new[1][:len(old[1])] == old[1] and new[2][:len(old[2])] == old[2]
-            assert all(x is y for x, y in zip(new[3], old[3])), k
-            assert new[4][:len(old[4])] == old[4], k
+            assert new[1][:len(old[1])] == old[1]
+            assert all(x is y for x, y in zip(new[2], old[2])), k
+            assert new[3][:len(old[3])] == old[3], k
 
 
 def chain_points(q: StabilitySystem) -> list:
@@ -447,7 +447,7 @@ def test_siblings_and_a_rejected_candidate_share_rows_soundly(made):
                 for q, r in zip(systems, colds):
                     if b < q.bound:
                         assert _pred(q, k, b) == _pred(r, k, b), (q, k, b)
-    grown = [row for row in _compiled(base)[1][3] if max(row) > base.depth]
+    grown = [row for row in _compiled(base)[1][2] if max(row) > base.depth]
     assert grown and all(any(row is x for x in deep._memo.values()) for row in grown)
     for q, r in zip(systems, colds):
         assert validate(q) == validate(r)

@@ -55,7 +55,7 @@ GRID = 8  # points queried per system, pairs included
 
 def _segment(beta: Ordinal) -> IntervalSet:
     """[0, beta), the level-0 predecessor set."""
-    return IntervalSet._normalized((OrdinalInterval(ZERO, beta),) if beta.terms else ())
+    return IntervalSet((OrdinalInterval(ZERO, beta),) if beta.terms else ())
 
 
 def _join(head: IntervalSet | None, below: IntervalSet, lo: Ordinal,
@@ -64,10 +64,10 @@ def _join(head: IntervalSet | None, below: IntervalSet, lo: Ordinal,
     that ends below ``lo``."""
     ivs = head.intervals if head is not None else ()
     if ivs and hi.terms < ivs[-1].high.terms:
-        return IntervalSet._normalized(_slice(ivs, ZERO, hi))
+        return IntervalSet(_slice(ivs, ZERO, hi))
     if lo.terms < hi.terms:
         ivs += tuple(_slice(below.intervals, lo, hi))
-    return IntervalSet._normalized(ivs)
+    return IntervalSet(ivs)
 
 
 # bisection keys of a normalized interval sequence, by low and by high end
@@ -163,7 +163,7 @@ class Reference:
         out = list(_join(head, below, lo, min(upper, cap)).intervals)
         for piece in reversed(pieces):
             out += piece
-        return IntervalSet._normalized(out)
+        return IntervalSet(out)
 
     def constrains(self, p, j, g, beta, below):
         if j == 1:

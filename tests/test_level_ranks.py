@@ -160,11 +160,11 @@ def unshared_rows(result) -> int:
     """How many compiled keys of the systems along a construction's trace
     hold a row other than the final system's row for that key."""
     final = {}
-    for entries, _, _, rows, _ in _compiled(result.g).values():
+    for entries, _, rows, _ in _compiled(result.g).values():
         for (g, _), row in zip(entries, rows):
             final.setdefault(g, row)
     return sum(row is not final[g] for step in result.trace
-               for entries, _, _, rows, _ in _compiled(step.system).values()
+               for entries, _, rows, _ in _compiled(step.system).values()
                for (g, _), row in zip(entries, rows))
 
 
@@ -205,7 +205,7 @@ def test_siblings_that_add_a_level_below_the_deepest_share_rows_soundly():
                 for q, r in zip(systems, colds):
                     if b < q.bound:
                         assert _pred(q, k, b) == _pred(r, k, b), (q, k, b)
-    level3 = _compiled(base)[3][3]
+    level3 = _compiled(base)[3][2]
     assert any(row is x for q in siblings for x in q._memo.values() for row in level3)
     for q, r in zip(systems, colds):
         assert validate(q) == validate(r)

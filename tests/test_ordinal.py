@@ -168,7 +168,7 @@ def test_interval_set_ops():
     b = IntervalSet.of((O("5"), O("w*2+5")))
     assert a.intersect(b) == IntervalSet.of((O("5"), O("w")), (O("w*2"), O("w*2+5")))
     assert a.union(b) == IntervalSet.of((O("0"), O("w*3")))
-    assert a.filter_below(O("w*2+1")) == IntervalSet.of((O("0"), O("w")), (O("w*2"), O("w*2+1")))
+    assert a.cut(ZERO, O("w*2+1")) == IntervalSet.of((O("0"), O("w")), (O("w*2"), O("w*2+1")))
     assert IntervalSet().is_empty
     with pytest.raises(EmptySetError):
         IntervalSet().sup()
@@ -228,7 +228,7 @@ _interval_sets = st.lists(
 def test_interval_set_algebra_matches_membership(s, t, x):
     assert s.union(t).member(x) == (s.member(x) or t.member(x))
     assert s.intersect(t).member(x) == (s.member(x) and t.member(x))
-    assert s.filter_below(x).member(x) is False
+    assert s.cut(ZERO, x).member(x) is False
 
 
 def nested_loop_intersect(s, t):
@@ -270,7 +270,7 @@ def test_merge_intersect_matches_nested_loop(s, t, x, y):
                 assert cut.intervals == nested_loop_intersect(s, IntervalSet.of((lo, hi))).intervals
             else:
                 assert cut.is_empty
-        assert s.filter_below(lo) == intersect_filter_below(s, lo)
+        assert s.cut(ZERO, lo) == intersect_filter_below(s, lo)
 
 
 @given(_wide_interval_sets)

@@ -25,7 +25,7 @@ from stabforce.errors import InvalidConditionError, TargetNotReachableError
 from stabforce.ordinal import parse_ordinal as O
 from stabforce.poset import canonical_extend
 from stabforce.simulate import TraceStep, make_pattern, minimality_to_dict
-from stabforce.stability import dom_f, probe_points
+from stabforce.stability import _pred, dom_f, probe_points
 from test_incremental import random_pattern
 
 
@@ -375,6 +375,34 @@ def test_minimality_antimonotone_p2_p3(pattern_p2, pattern_p3):
     s2 = set(minimality_report(run_construction(pattern_p2), grid).survivors)
     s3 = set(minimality_report(run_construction(pattern_p3), grid).survivors)
     assert s3 <= s2  # deepening the pattern never unblocks a settled point
+
+
+def sets_survivors(result, rep):
+    """The survivors as ``minimality_report`` read them before the fates: the
+    settled grid points in theta's set at the deepest level with keys."""
+    ghat = canonical_extend(result.g, rep.theta)
+    last = _pred(ghat, ghat.levels[-1][0] if ghat.levels else 0, rep.theta)
+    return tuple(f.alpha for f in rep.fates if f.settled and last.member(f.alpha))
+
+
+def test_survivors_read_off_the_fates_match_the_deepest_set():
+    """On 300 constructions, with grids that reach above the last key, the
+    survivors read off the fates are the settled points in the deepest set."""
+    rng = random.Random(43)
+    runs = 0
+    kinds = set()
+    while runs < 300:
+        try:
+            r = run_construction(random_pattern(rng, rng.randrange(2, 6), runs % 2 == 0))
+        except TargetNotReachableError:
+            continue
+        runs += 1
+        top = r.g.top
+        grid = list(probe_points(r.g)) + [top + O("w"), top + O("w*2+3")]
+        rep = minimality_report(r, grid)
+        assert rep.survivors == sets_survivors(r, rep), r.g
+        kinds.update((f.settled, f.survives) for f in rep.fates)
+    assert {(True, True), (True, False), (False, True)} <= kinds  # grids reach past last_key
 
 
 def test_blocking_witness_is_first_constraining_key(pattern_p2, pattern_p3):

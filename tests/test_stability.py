@@ -30,7 +30,7 @@ from stabforce.oracle import BruteEvaluator
 from stabforce.ordinal import Ordinal, OrdinalInterval, format_ordinal
 from stabforce.ordinal import parse_ordinal as O
 from stabforce.simulate import make_pattern, run_construction
-from stabforce.stability import _is_lim2, disagreeing_levels
+from stabforce.stability import _compiled, _is_lim2, _pred, disagreeing_levels
 from test_ordinal import sup_of_limits_between
 
 
@@ -270,16 +270,16 @@ def test_level_zero_sets_are_not_cached():
         for b, row in q._memo.items():
             assert 1 <= len(row) <= len(q.levels), (b, len(row))
             assert row.keys() <= {k for k, _ in q.levels}, b
-            assert row == {k: pred_set(g, k, b) for k in row}, b
+            assert row == {k: pred_set(g, k, Ordinal(b)) for k in row}, b
 
     assert_rows()
     b = O("w*6+1")
-    assert b not in q._memo
+    assert b.terms not in q._memo
     assert not dom_f(q, 1, b) and le_k(q, 0, O("w"), b)
-    assert b not in q._memo
+    assert b.terms not in q._memo
     assert is_k_limit(q, 1, O("w*6"))
     assert pred_set(q, 5000, O("w*6")) == pred_set(q, q.depth, O("w*6"))
-    assert len(q._memo[O("w*6")]) == q.depth
+    assert len(q._memo[O("w*6").terms]) == q.depth
     assert_rows()
 
 
@@ -482,6 +482,112 @@ def test_pred_matches_reference_on_invalid_systems():
         assert_pred_matches_reference(p, probe_points(p))
         broken.update(v.check for v in validate(p).violations)
     assert broken == {"V1", "V2", "V3", "V4", "V5"}
+
+
+# -- rows only for binding keys, and a memo keyed by CNF terms ---------------------
+
+
+def assert_rows_only_for_binding_keys(p) -> set:
+    """Each compiled key below the bound has None for its row exactly when
+    it binds nothing: it is outside its level's domain or valued at or above
+    itself.  Returns the reasons seen, "domain" and "value"."""
+    seen = set()
+    for j, (entries, _, rows, _) in _compiled(p).items():
+        for (g, v), row in zip(entries, rows):
+            if not g < p.bound:
+                continue
+            dom = dom_f(p, j, g)
+            assert (row is None) == (not dom or v >= g), (p, j, g, v)
+            if row is None:
+                seen.add("value" if dom else "domain")
+    return seen
+
+
+def assert_pred_matches_cold_and_brute(p, pts) -> None:
+    """_pred at levels 1..depth+1 on every probe point equals a link-free
+    rebuild's, queried in the other order, and, below w*20, the oracle's."""
+    cold = StabilitySystem(p.bound, p._as_dict())
+    brute = BruteEvaluator(p) if p.bound < O("w*20") else None
+    levels = range(1, p.depth + 2)
+    got = {(k, b): _pred(p, k, b) for b in pts for k in levels}
+    for b in pts[::-1]:
+        for k in levels[::-1]:
+            assert _pred(cold, k, b) == got[k, b], (p, k, b)
+            if brute is not None:
+                assert brute.pred_set(k, b) == got[k, b], (p, k, b)
+
+
+def _probe(p):
+    """p's probe points, also when a mutant's bound is a limit."""
+    if p.bound.is_successor:
+        return probe_points(p)
+    return tuple(a for a in probe_points(StabilitySystem(p.bound + O("1"), p._as_dict()))
+                 if a < p.bound)
+
+
+def test_keys_that_bind_nothing_store_no_row_in_invalid_systems():
+    """Random invalid systems and mutants store None for exactly the keys
+    that bind nothing, and answer as their rebuilds and the oracle do."""
+    rng = random.Random(37)
+    systems = [random_invalid_system(rng) for _ in range(60)]
+    systems += [mutate_system(rng, random_system(rng, small=True)) for _ in range(40)]
+    seen = set()
+    for p in systems:
+        seen |= assert_rows_only_for_binding_keys(p)
+        assert_pred_matches_cold_and_brute(p, _probe(p))
+    assert seen == {"domain", "value"}
+
+
+def test_keys_that_bind_nothing_along_a_linked_chain():
+    """A chain of ``with_exception`` and ``with_bound`` links whose keys
+    include a value above its key (V3), a key at a successor position (V2),
+    and a point that binds at level 1 but is outside the level-2 domain.
+    Later links share those levels with their base, None rows included, and
+    a first query at that point scans past its level-2 None to adopt its
+    level-1 row."""
+    steps = [("bound", "w*4+1"), (1, "w*3", "5"), (2, "w*3", "w*3+2"), (2, "w*4", "w*4+2"),
+             ("bound", "w*7+1"), (2, "w*5+1", "w"), ("bound", "w*9+1"), (3, "w*8", "w*6"),
+             ("bound", "w*12+1"), (2, "w*11", "w*9+1"), ("bound", "w*14+1")]
+    chain = [StabilitySystem(O("w*2+1"), {1: {O("w"): O("3")}, 2: {O("w*2"): O("w+1")}})]
+    for step in steps:
+        q = chain[-1]
+        chain.append(q.with_bound(O(step[1])) if step[0] == "bound"
+                     else q.with_exception(step[0], O(step[1]), O(step[2])))
+    assert all(q._base is not None for q in chain[1:])
+    last = chain[-1]
+    rows, old = _compiled(last)[2][2], _compiled(chain[4])[2][2]
+    assert rows[1:4] == [None] * 3 and _compiled(last)[1][2][1] is not None
+    assert len(rows) > len(old) == 3 and all(x is y for x, y in zip(rows, old))
+    w3 = O("w*3")
+    assert _pred(last, 2, w3) == _pred(StabilitySystem(last.bound, last._as_dict()), 2, w3)
+    assert last._memo[w3.terms] is _compiled(last)[1][2][1]
+    seen = set()
+    for q in reversed(chain):
+        seen |= assert_rows_only_for_binding_keys(q)
+        assert_pred_matches_cold_and_brute(q, probe_points(q))
+    assert seen == {"domain", "value"}
+    assert not validate(last).valid
+
+
+def test_warm_queries_hash_no_ordinal(monkeypatch):
+    """The memo is keyed by CNF terms: once a pass of ``pred_set`` has filled
+    the rows, a second pass never calls ``Ordinal.__hash__``."""
+    g = run_construction(_chain_pattern(12)).g
+    pts = probe_points(g)
+    levels = range(1, g.depth + 2)
+    first = [pred_set(g, k, b) for b in pts for k in levels]
+    calls = []
+    unpatched = Ordinal.__hash__
+
+    def counting(self):
+        calls.append(self)
+        return unpatched(self)
+
+    monkeypatch.setattr(Ordinal, "__hash__", counting)
+    assert hash(O("w")) == unpatched(O("w")) and calls  # the counter sees calls
+    calls.clear()
+    assert [pred_set(g, k, b) for b in pts for k in levels] == first
+    assert calls == []
 
 
 @pytest.mark.parametrize("points", [20, 40, 80])
