@@ -12,13 +12,13 @@ and a finite-horizon analogue of the "below infinity" analysis.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
-from typing import Iterable, Mapping
 
 from .errors import InvalidConditionError
-from .ordinal import OMEGA, ZERO, Ordinal, format_ordinal, parse_ordinal
+from .ordinal import OMEGA, ZERO, Ordinal, Terms, format_ordinal, parse_ordinal
 from .poset import canonical_extend, extend_to_chain_limit, extend_with_top_exception, extends
 from .stability import (
     CheckReport,
@@ -58,12 +58,13 @@ class StabilityPattern:
     st: tuple[tuple[Ordinal, Ordinal, int], ...]
 
     def degree(self, i: Ordinal, j: Ordinal) -> int:
-        return self._degrees.get((i, j), 0)
+        return self._degrees.get((i.terms, j.terms), 0)
 
     @cached_property
-    def _degrees(self) -> dict[tuple[Ordinal, Ordinal], int]:
-        # reversed, so the first entry for a pair wins
-        return {(a, b): d for a, b, d in reversed(self.st)}
+    def _degrees(self) -> dict[tuple[Terms, Terms], int]:
+        # keyed by CNF terms, whose hash is a C call; reversed, so the first
+        # entry for a pair wins
+        return {(a.terms, b.terms): d for a, b, d in reversed(self.st)}
 
     @cached_property
     def _axioms(self) -> CheckReport:
@@ -131,7 +132,7 @@ def _check_axioms(pattern: StabilityPattern) -> CheckReport:
     for i, j, dij in pattern.st:
         for pt in pts:
             jp = pt.pos
-            if not (i < jp < j):
+            if not (i.terms < jp.terms < j.terms):  # plain tuple order: no Python call
                 continue
             djj = pattern.degree(jp, j)
             k_max = min(dij - 1, djj)

@@ -30,8 +30,9 @@ number costs nothing: a query at level k reads the row at the deepest key
 level at or below k.  Each level's keys are compiled once, in ascending
 order; a binding key's row is stored (None for one that binds nothing) and
 shared by every system linked to the compiling one.  A query adopts a
-binding key's row or takes one bisection and step per key level (proof in
-``_pred``).
+binding key's row (only a limit can hold one) or takes one bisection and
+step per key level, except that a successor a + 1 of zero or a limit reads
+each set off a's, as ``P_j(a) u [a, a + 1)`` (proofs in ``_pred``).
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from bisect import bisect_left, bisect_right
 from dataclasses import asdict, dataclass
 from itertools import islice
 from json.encoder import encode_basestring_ascii as _quote
-from operator import itemgetter
 from typing import Iterable, Mapping
 
 from .errors import OutOfBoundsError
@@ -86,7 +86,7 @@ class StabilitySystem:
     costs only its new key.
     """
 
-    __slots__ = ("bound", "levels", "_top", "_memo", "_compiled", "_report",
+    __slots__ = ("bound", "levels", "_ks", "_top", "_memo", "_compiled", "_report",
                  "_base", "_names", "__weakref__")
 
     def __init__(self, bound: Ordinal, exceptions: Mapping[int, Mapping[Ordinal, Ordinal]] | None = None):
@@ -107,6 +107,7 @@ class StabilitySystem:
     def _init(self, bound: Ordinal, levels: Levels, base: "StabilitySystem | None") -> None:
         self.bound = bound
         self.levels = levels
+        self._ks = tuple(k for k, _ in levels)
         self._top = None
         self._memo: dict = {}
         self._compiled: dict | None = None
@@ -163,7 +164,7 @@ class StabilitySystem:
         if lvl < 1:
             raise ValueError(f"exception level {k} must be >= 1")
         levels = self.levels
-        i = bisect_left(levels, lvl, key=itemgetter(0))
+        i = bisect_left(self._ks, lvl)
         has_level = i < len(levels) and levels[i][0] == lvl
         entries = levels[i][1] if has_level else ()
         j = bisect_left(entries, key.terms, key=_entry_key)
@@ -308,7 +309,13 @@ def lt_k(p: StabilitySystem, k: int, alpha: Ordinal, beta: Ordinal) -> bool:
 
 
 def _lt(p: StabilitySystem, k: int, alpha: Ordinal, beta: Ordinal) -> bool:
-    return alpha.terms < beta.terms and _pred(p, k, beta).member(alpha)
+    """alpha in ``P_k(beta)``, by one bisection of the set's low ends."""
+    t = alpha.terms
+    if not t < beta.terms:
+        return False
+    s = _pred(p, k, beta)
+    i = bisect_right(s.lows, t)
+    return i > 0 and t < s.highs[i - 1]
 
 
 def le_k(p: StabilitySystem, k: int, alpha: Ordinal, beta: Ordinal) -> bool:
@@ -338,8 +345,9 @@ def pred_set(p: StabilitySystem, k: int, beta: Ordinal) -> IntervalSet:
 
 def _pred(p: StabilitySystem, k: int, beta: Ordinal) -> IntervalSet:
     """pred_set without the argument checks, read at L, the deepest of p's
-    levels with keys at or below k, found by one bisection.  With no such
-    level the set is [0, beta), which is not memoized.
+    levels with keys at or below k, found by one bisection of ``p._ks``,
+    the tuple of those level numbers.  With no such level the set is
+    [0, beta), which is not memoized.
 
     Write ``P_j(b)`` for the set { a < b : a <_j b } and ``C_j(b)`` for the
     level-j keys g <= b that constrain b: g is a level-j domain point,
@@ -401,10 +409,25 @@ def _pred(p: StabilitySystem, k: int, beta: Ordinal) -> IntervalSet:
     only a binding key's cap, v + 1, needs the stored row.  In a valid
     system every key binds (V2 puts it in the domain, and V3 makes v < g,
     identity values not being stored), so None appears only in invalid
-    systems.  A key adopts, on its first query, the row stored at its
-    highest binding level; that row holds every level where the point binds
-    (every holder has the same keys at or below it, see Sharing), so each
-    level a row is filled at caps the point at itself.
+    systems.  Only a limit can hold a stored row: a binding key is a domain
+    point, a level limit, and no successor is one (see above), nor is zero,
+    whose set is empty.  So a limit point, and no other, looks on its first
+    query for a stored row and adopts the one at its highest binding level;
+    that row holds every level where the point binds (every holder has the
+    same keys at or below it, see Sharing), so each level a row is filled at
+    caps the point at itself.
+
+    Successors.  Let b = a + 1 with a zero or a limit.  Then at every level
+    j, ``P_j(b) = P_j(a) u [a, b)``.  Indeed a <_j a + 1 (see above), and
+    for x < a, (T) gives x <_j a + 1 from x <_j a, and (L) gives x <_j a
+    from x <_j a + 1 and a <_j a + 1.  So ``_grow`` fills b's row at each
+    key level from a's, growing a's row first where it lacks the level: one
+    append, or a wider top interval when ``P_j(a)`` ends at a.  No walk and
+    no cut are needed.  Any other successor, such as w*5+2, takes the
+    general step, so a coefficient never sets how deep the growth nests.
+    The rule runs only after p's compile pass has finished: during the pass
+    a linked system's old keys, whose stored rows sit at levels not yet
+    compiled, would get fresh rows that never adopt the stored one.
 
     Sharing.  ``P_j(g)`` depends only on the exceptions at or below g, at
     every level, since the definition quantifies over keys in (a, g] with
@@ -425,47 +448,67 @@ def _pred(p: StabilitySystem, k: int, beta: Ordinal) -> IntervalSet:
     A point that is no key has a row of p's own, and ``_pred`` reads nothing
     but p's memo and p's compiled arrays: it never walks ``_base``.
 
-    Nothing recurses: the compile pass asks ``_pred`` only for a lower
-    level, and ``_pred`` only loops, so the stack never grows with the
-    number of keys, a chain or a level.
+    Nothing recurses beyond one level: the compile pass asks ``_pred`` only
+    for a lower level, and ``_pred`` only loops, except that growing a
+    successor a + 1 may grow a, which is no successor and so takes the
+    loop.  The stack never grows with the number of keys, a chain or a
+    level.
     """
-    r = bisect_right(p.levels, k, key=itemgetter(0))
+    ks = p._ks
+    r = bisect_right(ks, k)
+    t = beta.terms
     if not r:
-        return _segment(p, beta)
-    row = p._memo.get(beta.terms)
-    if row is not None and (s := row.get(p.levels[r - 1][0])) is not None:
+        return _segment(p, t)
+    row = p._memo.get(t)
+    if row is not None and (s := row.get(ks[r - 1])) is not None:
         return s
-    return _grow(p, r, beta, row)
+    return _grow(p, r, t, row)
 
 
-def _grow(p: StabilitySystem, r: int, beta: Ordinal, row: dict | None) -> IntervalSet:
-    """beta's set at p's r-th level with keys, after filling beta's row (None
-    before its first query, when the row stored at beta's highest binding key
-    level, if any, is adopted) at every key level up to that one."""
+def _grow(p: StabilitySystem, r: int, t: tuple, row: dict | None) -> IntervalSet:
+    """The set of the point b with CNF terms t at p's r-th level with keys,
+    after filling b's row (None before its first query, when a limit b
+    adopts the row stored at its highest binding key level, if any) at every
+    key level up to that one.  Once p's compile pass has finished, a b = a + 1
+    with a zero or a limit reads each set off a's, growing a's row first;
+    any other b takes ``_step`` per level (see ``_pred``)."""
     levels = p._compiled
     if levels is None:
         levels = _compiled(p)
-    t = beta.terms
     if row is None:
         row = {}
-        for _, terms, rows, _ in reversed(levels.values()):
-            i = bisect_left(terms, t)
-            if i < len(terms) and terms[i] == t and rows[i] is not None:
-                row = rows[i]
-                break
+        if t and t[-1][0]:  # only a limit can hold a stored row
+            for _, terms, rows, _ in reversed(levels.values()):
+                i = bisect_left(terms, t)
+                if i < len(terms) and terms[i] == t and rows[i] is not None:
+                    row = rows[i]
+                    break
         p._memo[t] = row
+    if t and t[-1] == (0, 1) and p._report is not None:  # t = a + 1, a zero or a limit
+        a = t[:-1]
+        before = p._memo.get(a)
+        for j in islice(levels, r):
+            if (s := row.get(j)) is None:
+                if before is None or (s := before.get(j)) is None:
+                    _grow(p, r, a, before)  # a is no successor: one level of nesting
+                    s = (before := p._memo[a])[j]
+                # a top interval [x, a) widens to [x, b); else [a, b) is appended
+                lows, highs = ((s.lows, s.highs[:-1]) if s.highs[-1:] == (a,)
+                               else (s.lows + (a,), s.highs))
+                s = row[j] = IntervalSet._ends(lows, highs + (t,), p._names)
+        return s
     below = None
-    for j, (entries, terms, rows, _) in islice(levels.items(), r):
+    for j, (_, terms, rows, _) in islice(levels.items(), r):
         if (s := row.get(j)) is None:
-            s = row[j] = _step(entries, rows, j, bisect_left(terms, t),
-                               _segment(p, beta) if below is None else below, beta)
+            s = row[j] = _step(terms, rows, j, bisect_left(terms, t),
+                               _segment(p, t) if below is None else below, t)
         below = s
     return below
 
 
-def _segment(p: StabilitySystem, beta: Ordinal) -> IntervalSet:
-    """[0, beta), the level-0 predecessor set, spelled through p's table."""
-    t = beta.terms
+def _segment(p: StabilitySystem, t: tuple) -> IntervalSet:
+    """[0, b), the level-0 predecessor set of the point with CNF terms t,
+    spelled through p's table."""
     return IntervalSet._ends(((),), (t,), p._names) if t else IntervalSet._ends((), (), p._names)
 
 
@@ -518,8 +561,8 @@ def _compiled(p: StabilitySystem) -> dict:
                 highs = below.highs
                 dom = bool(highs) and highs[-1][-1][0] >= 1
                 bind = dom and v.terms < g.terms
-                own = row[j] = _step(entries, rows, j, len(terms), below,
-                                     v + ONE if bind else g)
+                own = row[j] = _step(terms, rows, j, len(terms), below,
+                                     (v + ONE).terms if bind else g.terms)
                 terms.append(g.terms)
                 rows.append(row if bind else None)
                 at_lim2 = bind and g.is_lim2 and highs[-1] == g.terms
@@ -564,26 +607,29 @@ def _blocking_witness(g: StabilitySystem, k: int, alpha: Ordinal,
                 if row is not None and alpha < key and value < alpha and below.member(key))
 
 
-def _step(entries: Entries, rows: list[dict[int, IntervalSet] | None], j: int, i: int,
-          below: IntervalSet, cap: Ordinal) -> IntervalSet:
+def _step(terms: list[tuple], rows: list[dict[int, IntervalSet] | None], j: int, i: int,
+          below: IntervalSet, c: tuple) -> IntervalSet:
     """P_j(b) by ``_pred``'s recurrence, for a point b above the first i keys
-    of level j, from ``below`` = P_{j-1}(b) and b's cap: v_b + 1 when b
-    binds, else b.  g* is the first key in ``below`` with a stored row,
-    walking down.  That is ``P_j(g*)``, read from g*'s row at j, cut at the
-    cap when the cap cuts into it, else ``P_j(g*)`` followed by ``below`` cut
-    to [g*, cap); with no g*, ``below`` itself when the cap cuts nothing,
-    else ``below`` cut at it."""
-    c = cap.terms
+    of level j, whose CNF terms are ``terms``, from ``below`` = P_{j-1}(b)
+    and the CNF terms c of b's cap: v_b + 1 when b binds, else b.  g* is the
+    first key in ``below`` with a stored row, walking down; each membership
+    test is one bisection of ``below``'s low ends.  The result is
+    ``P_j(g*)``, read from g*'s row at j, cut at the cap when the cap cuts
+    into it, else ``P_j(g*)`` followed by ``below`` cut to [g*, cap); with
+    no g*, ``below`` itself when the cap cuts nothing, else ``below`` cut at
+    it."""
+    lows, highs = below.lows, below.highs
     for i in range(i - 1, -1, -1):
-        if rows[i] is not None and below.member(entries[i][0]):
+        g = terms[i]
+        if rows[i] is not None and (x := bisect_right(lows, g)) and g < highs[x - 1]:
             head = rows[i][j]
             if head.highs and c < head.highs[-1]:
-                return head.cut(ZERO, cap)
-            lows, highs = _cut(below.lows, below.highs, entries[i][0].terms, c)
+                return IntervalSet._ends(*_cut(head.lows, head.highs, (), c), head._names)
+            lows, highs = _cut(lows, highs, g, c)
             return IntervalSet._ends(head.lows + lows, head.highs + highs, below._names)
-    if not below.highs or below.highs[-1] <= c:
+    if not highs or highs[-1] <= c:
         return below
-    return below.cut(ZERO, cap)
+    return IntervalSet._ends(*_cut(lows, highs, (), c), below._names)
 
 
 def _is_limit(p: StabilitySystem, k: int, beta: Ordinal) -> bool:
@@ -704,7 +750,10 @@ def check_tree_properties(p: StabilitySystem, k: int,
       Every end of ``P_j(g*)`` is g* or a successor by induction, and at most
       v_{g*} + 1 < g*, as g* binds and its own step capped it there, so it is
       a successor.  The two pieces never touch (see ``_pred``), so their
-      union merges no interval and keeps these ends.
+      union merges no interval and keeps these ends.  A successor
+      b = a + 1 read off a (see ``_pred``) has ``P_j(a) u [a, b)``: the
+      ends of ``P_j(a)`` are a or successors by induction, and an end at a
+      becomes b.
     """
     pts = tuple(sorted(set(probe if probe is not None else probe_points(p)),
                        key=lambda a: a.terms))
