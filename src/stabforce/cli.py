@@ -50,7 +50,7 @@ from .simulate import (
     minimality_report,
     minimality_to_dict,
     pattern_from_dict,
-    result_to_dict,
+    result_payload,
     run_construction,
     validate_pattern,
 )
@@ -64,7 +64,6 @@ from .stability import (
     pred_set,
     probe_points,
     system_from_dict,
-    system_to_dict,
     system_to_json,
     validate,
 )
@@ -207,7 +206,7 @@ def cmd_generic(args) -> int:
     member = in_poset(q, params) if params is not None else None
 
     def payload() -> dict:
-        out = {"system": system_to_dict(q),
+        out = {"system": q,
                "trace": [{"step": label, "top": format_ordinal(s.top)}
                          for label, s in trace]}
         if params is not None:
@@ -239,7 +238,7 @@ def cmd_simulate(args) -> int:
     rep = minimality_report(result, grid) if args.grid else None
 
     def payload() -> dict:
-        out = result_to_dict(result)
+        out = result_payload(result)
         out["requirements"] = reqs.to_dict()
         out["stablePairs"] = pairs.to_dict()
         if rep is not None:

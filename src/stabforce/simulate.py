@@ -34,9 +34,6 @@ from .stability import (
     system_to_dict,
 )
 
-MIN_GAP = Ordinal(((1, 2),))  # w*2
-
-
 @dataclass(frozen=True)
 class PatternPoint:
     pos: Ordinal
@@ -100,7 +97,8 @@ def validate_pattern(pattern: StabilityPattern) -> CheckReport:
 def _check_axioms(pattern: StabilityPattern) -> CheckReport:
     violations: list[Violation] = []
     pts = pattern.points
-    positions = {pt.pos: pt for pt in reversed(pts)}  # the first point at a position wins
+    # keyed and compared by CNF terms, in plain tuple order: no Python call
+    positions = {pt.pos.terms: pt for pt in reversed(pts)}  # the first point at a position wins
     for pt in pts:
         if not (pt.pos.is_limit and not pt.pos.is_lim2):
             violations.append(Violation("A1", 0, format_ordinal(pt.pos),
@@ -110,29 +108,32 @@ def _check_axioms(pattern: StabilityPattern) -> CheckReport:
                 violations.append(Violation("A3", lvl, format_ordinal(pt.pos),
                                             "cofinal levels must be >= 1"))
     for a, b in zip(pts, pts[1:]):
-        if not a.pos < b.pos:
+        t, u = a.pos.terms, b.pos.terms
+        if not t < u:
             violations.append(Violation("A1", 0, format_ordinal(b.pos),
                                         "positions must strictly increase"))
-        elif not a.pos + MIN_GAP <= b.pos:
+        # a + w*2 keeps a's terms above w and adds 2 to its coefficient of w
+        elif (*[x for x in t if x[0] > 1], (1, next((c for e, c in t if e == 1), 0) + 2)) > u:
             violations.append(Violation("A1", 0, format_ordinal(b.pos),
                                         f"gap below {a.pos} is smaller than w*2"))
-    declared: set[tuple[Ordinal, Ordinal]] = set()
+    declared: set[tuple[Terms, Terms]] = set()
     for i, j, d in pattern.st:
+        pair = (i.terms, j.terms)
         if d < 1:
             violations.append(Violation("A2", 0, f"({i}, {j})",
                                         "declared degrees must be >= 1"))
-        if i not in positions or j not in positions or not i < j:
+        if pair[0] not in positions or pair[1] not in positions or not pair[0] < pair[1]:
             violations.append(Violation("A2", 0, f"({i}, {j})",
                                         "degree must relate two listed positions in order"))
-        if (i, j) in declared:
+        if pair in declared:
             violations.append(Violation("A2", 0, f"({i}, {j})",
                                         "pair declared more than once"))
-        declared.add((i, j))
+        declared.add(pair)
     # coherence: st(i,j) >= k+1 and st(j',j) >= k with i < j' force st(i,j') >= k+1
     for i, j, dij in pattern.st:
         for pt in pts:
             jp = pt.pos
-            if not (i.terms < jp.terms < j.terms):  # plain tuple order: no Python call
+            if not (i.terms < jp.terms < j.terms):
                 continue
             djj = pattern.degree(jp, j)
             k_max = min(dij - 1, djj)
@@ -146,7 +147,7 @@ def _check_axioms(pattern: StabilityPattern) -> CheckReport:
             violations.append(Violation("A3", 0, format_ordinal(pt.pos),
                                         "cofinal levels must be downward closed"))
     for i, j, d in pattern.st:
-        pt = positions.get(i)
+        pt = positions.get(i.terms)
         if pt is not None and pt.in_c and _least_unflagged(pt) < d:
             violations.append(Violation(
                 "A4", d, f"({i}, {j})",
@@ -181,15 +182,13 @@ def _derive_assignments(pattern: StabilityPattern) -> dict[Ordinal, Assignment]:
     out: dict[Ordinal, Assignment] = {}
     for pt in pattern.points:
         ell = _least_unflagged(pt)
-        sup: dict[int, Ordinal] = {}
-        for level in range(1, ell + 2):
-            best = ZERO
-            for prev in pattern.points:
-                if prev.pos >= pt.pos:
-                    break
-                if prev.in_c and pattern.degree(prev.pos, pt.pos) >= level:
-                    best = prev.pos
-            sup[level] = best
+        sup = dict.fromkeys(range(1, ell + 2), ZERO)
+        for prev in pattern.points:
+            if not prev.pos.terms < pt.pos.terms:
+                break
+            if prev.in_c:  # the last club point of degree >= level wins each level
+                for level in range(1, min(pattern.degree(prev.pos, pt.pos), ell + 1) + 1):
+                    sup[level] = prev.pos
         out[pt.pos] = Assignment(ell=ell, sup_stable=sup)
     return out
 
@@ -462,14 +461,19 @@ def _json_int(value, what: str) -> int:
 
 
 def result_to_dict(result: SimulationResult) -> dict:
+    return result_payload(result, system_to_dict)
+
+
+def result_payload(result: SimulationResult, system=lambda p: p) -> dict:
+    """The layout of a ``simulate`` result, each system as ``system(p)``: the
+    system itself for ``stability._json_text``, its dict for ``result_to_dict``."""
     return {
-        "system": system_to_dict(result.g),
+        "system": system(result.g),
         "assignments": [{"pos": format_ordinal(o.pos), "ell": o.ell,
                          "gamma": format_ordinal(o.gamma),
                          "alpha": format_ordinal(o.alpha)}
                         for o in result.per_point],
-        "trace": [{"label": step.label, "level": step.level,
-                   "system": system_to_dict(step.system)}
+        "trace": [{"label": step.label, "level": step.level, "system": system(step.system)}
                   for step in result.trace],
     }
 

@@ -142,10 +142,10 @@ class StabilitySystem:
         return ()
 
     def exception_value(self, k: int, alpha: Ordinal) -> Ordinal | None:
-        for g, v in self.entries_at(k):
-            if g == alpha:
-                return v
-        return None
+        entries = self.entries_at(k)
+        t = alpha.terms
+        j = bisect_left(entries, t, key=_entry_key)
+        return entries[j][1] if j < len(entries) and entries[j][0].terms == t else None
 
     def exception_count(self) -> int:
         return sum(len(entries) for _, entries in self.levels)
@@ -868,23 +868,29 @@ def system_from_dict(d: Mapping) -> StabilitySystem:
 
 
 def system_to_json(p: StabilitySystem) -> str:
-    return _json_text(system_to_dict(p))
+    return _json_text(p)
 
 
 def _json_text(obj) -> str:
     """``json.dumps(obj, indent=2)``, byte for byte, for a payload built of
-    dicts with str keys, lists, str, int, bool and None.
+    dicts with str keys, lists, str, int, bool, None and systems, a system
+    standing for its ``system_to_dict``.
 
     Any ``indent`` sends the standard encoder down its pure-Python path, while
     a payload of the CLI (a trace repeats a whole system per step) is mostly
-    maps of ordinal text; here strings go through the C escaper and a dict of
-    strings is one ``join``.  Any other type, a float, a tuple or a non-str
-    key included, raises TypeError: the CLI prints none.
+    ordinal text; here strings go through the C escaper, and a system is
+    written from its level tuples.  The systems of a construction share every
+    entry and every level tuple that gains no key, so each entry's text and
+    each level's text at one indentation is made once per call, cached under
+    the tuple's ``id``: the payload keeps the tuples alive until the call
+    returns, and the cache dies with it, before an id can be reused.  Any
+    other type, a float, a tuple or a non-str key included, raises TypeError:
+    the CLI prints none.
     """
-    return _encode(obj, "\n")
+    return _encode(obj, "\n", {})
 
 
-def _encode(obj, nl: str) -> str:
+def _encode(obj, nl: str, seen: dict) -> str:
     """``obj`` as JSON text whose lines after the first start with ``nl``."""
     t = type(obj)
     if t is str:
@@ -893,18 +899,22 @@ def _encode(obj, nl: str) -> str:
         if not obj:
             return "{}"
         inner = nl + "  "  # _quote raises TypeError on a key that is not a str
-        for v in obj.values():
-            if type(v) is not str:
-                items = [f"{_quote(k)}: {_encode(v, inner)}" for k, v in obj.items()]
-                break
-        else:  # every level map: a dict of ordinal text
-            items = [f"{_quote(k)}: {_quote(v)}" for k, v in obj.items()]
+        items = [f"{_quote(k)}: {_quote(v) if type(v) is str else _encode(v, inner, seen)}"
+                 for k, v in obj.items()]
         return f"{{{inner}{(',' + inner).join(items)}{nl}}}"
     if t is list:
         if not obj:
             return "[]"
         inner = nl + "  "
-        return f"[{inner}{(',' + inner).join([_encode(v, inner) for v in obj])}{nl}]"
+        return f"[{inner}{(',' + inner).join([_encode(v, inner, seen) for v in obj])}{nl}]"
+    if t is StabilitySystem:  # ordinal text needs no escaping
+        inner, levels = nl + "  ", "{}"
+        if obj.levels:
+            deep = inner + "  "
+            rows = [f'"{k}": {seen.get((id(entries), deep)) or _level_text(entries, deep, seen)}'
+                    for k, entries in obj.levels]
+            levels = f"{{{deep}{(',' + deep).join(rows)}{inner}}}"
+        return f'{{{inner}"bound": "{format_ordinal(obj.bound)}",{inner}"levels": {levels}{nl}}}'
     if obj is True:
         return "true"
     if obj is False:
@@ -914,6 +924,20 @@ def _encode(obj, nl: str) -> str:
     if t is int:
         return int.__repr__(obj)
     raise TypeError(f"{t.__name__} is not a JSON type of the CLI")
+
+
+def _level_text(entries: Entries, nl: str, seen: dict) -> str:
+    """A level map written at ``nl``, kept in ``seen`` with each entry's text."""
+    items = []
+    for e in entries:
+        text = seen.get(id(e))
+        if text is None:
+            g, v = e
+            text = seen[id(e)] = f'"{format_ordinal(g)}": "{format_ordinal(v)}"'
+        items.append(text)
+    inner = nl + "  "
+    text = seen[id(entries), nl] = f"{{{inner}{(',' + inner).join(items)}{nl}}}"
+    return text
 
 
 def system_from_json(text: str) -> StabilitySystem:
