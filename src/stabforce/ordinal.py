@@ -24,6 +24,11 @@ owns every error message.
 An ``IntervalSet`` holds its intervals as two parallel tuples of CNF terms,
 ``lows`` and ``highs``, so membership and cuts bisect plain tuples;
 ``OrdinalInterval`` objects are built only for a caller that iterates.
+
+Terms are spelled in one place, ``_format_terms``, a bounded cache of the
+text of each tuple of terms: ``format_ordinal`` and ``IntervalSet.__str__``
+both read it, so neither an ordinal nor a set nor a stability system keeps
+a table of spellings.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ import re
 import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator
 
 from .errors import EmptySetError, NonCanonicalError, OrdinalSyntaxError
@@ -44,10 +50,10 @@ class Ordinal:
 
     The constructor checks its terms; the module's own arithmetic and parser
     build terms that are in CNF by construction and use ``_from_cnf``.
-    ``_text`` memoizes the ``format_ordinal`` spelling once it is asked for.
+    Its text comes from ``format_ordinal``, which caches spellings by terms.
     """
 
-    __slots__ = ("terms", "_hash", "_text")
+    __slots__ = ("terms", "_hash")
 
     def __init__(self, terms: Iterable[tuple[int, int]] = ()):
         tt: Terms = tuple((int(e), int(c)) for e, c in terms)
@@ -60,7 +66,6 @@ class Ordinal:
             prev = e
         self.terms = tt
         self._hash = hash(tt)
-        self._text: str | None = None
 
     @classmethod
     def from_int(cls, n: int) -> "Ordinal":
@@ -161,7 +166,6 @@ def _from_cnf(terms: Terms) -> Ordinal:
     a = object.__new__(Ordinal)
     a.terms = terms
     a._hash = hash(terms)
-    a._text = None
     return a
 
 
@@ -248,14 +252,15 @@ def parse_ordinal(text: str) -> Ordinal:
 
 def format_ordinal(a: Ordinal) -> str:
     """Canonical text for an ordinal; inverse of parse_ordinal."""
-    text = a._text
-    if text is None:
-        text = a._text = _format_terms(a.terms)
-    return text
+    return _format_terms(a.terms)
 
 
+# Bounded so that a long-lived process does not keep every spelling it ever
+# printed.  At seed 5 of the benchmark, one query op spells 79-138 distinct
+# terms and one construct op 8-67; all 24 query inputs together spell 245.
+@lru_cache(maxsize=1024)
 def _format_terms(terms: Terms) -> str:
-    """Canonical text for the CNF terms of an ordinal."""
+    """Canonical text for the CNF terms of an ordinal, cached by terms."""
     if not terms:
         return "0"
     parts = []
@@ -314,13 +319,11 @@ class IntervalSet:
     ``OrdinalInterval`` objects on demand.  The constructor normalizes
     arbitrary input: intervals are sorted, and any overlapping or adjacent
     pair (next.low <= cur.high) is merged.  ``_text`` memoizes the ``str``
-    spelling once it is asked for.  ``_names`` maps end terms to their text:
-    the sets a stability system's kernel builds share the system's table, so
-    an end that many of them hold is spelled once however many are printed;
-    ``cut`` and ``intersect`` hand the table on, and any other set has None.
+    spelling once it is asked for; each end is spelled by ``_format_terms``,
+    whose cache spells an end that many sets hold once.
     """
 
-    __slots__ = ("lows", "highs", "_text", "_names")
+    __slots__ = ("lows", "highs", "_text")
 
     def __init__(self, intervals: Iterable[OrdinalInterval] = ()):
         lows, highs = [], []
@@ -331,7 +334,7 @@ class IntervalSet:
             else:
                 lows.append(lo)
                 highs.append(hi)
-        self.lows, self.highs, self._text, self._names = tuple(lows), tuple(highs), None, None
+        self.lows, self.highs, self._text = tuple(lows), tuple(highs), None
 
     @classmethod
     def of(cls, *pairs: tuple[Ordinal, Ordinal]) -> "IntervalSet":
@@ -347,12 +350,11 @@ class IntervalSet:
                      for lo, hi in zip(self.lows, self.highs))
 
     @classmethod
-    def _ends(cls, lows: tuple[Terms, ...], highs: tuple[Terms, ...],
-              names: dict[Terms, str] | None = None) -> "IntervalSet":
+    def _ends(cls, lows: tuple[Terms, ...], highs: tuple[Terms, ...]) -> "IntervalSet":
         """Wrap the end tuples of intervals already sorted, disjoint and
-        non-adjacent, spelled through the table ``names``."""
+        non-adjacent."""
         s = cls.__new__(cls)
-        s.lows, s.highs, s._text, s._names = lows, highs, None, names
+        s.lows, s.highs, s._text = lows, highs, None
         return s
 
     def member(self, alpha: Ordinal) -> bool:
@@ -394,11 +396,11 @@ class IntervalSet:
             if lo < hi:
                 lows.append(lo)
                 highs.append(hi)
-        return IntervalSet._ends(tuple(lows), tuple(highs), self._names)
+        return IntervalSet._ends(tuple(lows), tuple(highs))
 
     def cut(self, lo: Ordinal, hi: Ordinal) -> "IntervalSet":
         """The members in [lo, hi), found by two bisections; empty unless lo < hi."""
-        return IntervalSet._ends(*_cut(self.lows, self.highs, lo.terms, hi.terms), self._names)
+        return IntervalSet._ends(*_cut(self.lows, self.highs, lo.terms, hi.terms))
 
     def __iter__(self) -> Iterator[OrdinalInterval]:
         return iter(self.intervals)
@@ -413,17 +415,8 @@ class IntervalSet:
     def __str__(self) -> str:
         text = self._text
         if text is None:
-            names = {} if self._names is None else self._names
-            pieces = []
-            for lo, hi in zip(self.lows, self.highs):
-                low = names.get(lo)
-                if low is None:
-                    low = names[lo] = _format_terms(lo)
-                high = names.get(hi)
-                if high is None:
-                    high = names[hi] = _format_terms(hi)
-                pieces.append(f"[{low}, {high})")
-            text = self._text = " u ".join(pieces) or "{}"
+            ends = zip(map(_format_terms, self.lows), map(_format_terms, self.highs))
+            text = self._text = " u ".join([f"[{lo}, {hi})" for lo, hi in ends]) or "{}"
         return text
 
     def __repr__(self) -> str:

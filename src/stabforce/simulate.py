@@ -215,10 +215,14 @@ class SimulationResult:
     trace: tuple[TraceStep, ...]
 
     def outcome_at(self, pos: Ordinal) -> PointOutcome:
-        for o in self.per_point:
-            if o.pos == pos:
-                return o
-        raise KeyError(str(pos))
+        if (o := self._outcomes.get(pos.terms)) is None:
+            raise KeyError(str(pos))
+        return o
+
+    @cached_property
+    def _outcomes(self) -> dict[Terms, PointOutcome]:
+        # reversed, so the first outcome at a position wins
+        return {o.pos.terms: o for o in reversed(self.per_point)}
 
 
 def run_construction(pattern: StabilityPattern) -> SimulationResult:

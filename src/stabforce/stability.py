@@ -43,6 +43,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import asdict, dataclass
 from itertools import islice
 from json.encoder import encode_basestring_ascii as _quote
+from operator import attrgetter
 from typing import Iterable, Mapping
 
 from .errors import OutOfBoundsError
@@ -80,6 +81,8 @@ class StabilitySystem:
     binding key's row, every violation and every level that gains no key,
     and the compile pass checks only the new keys.  The link is semantically
     invisible and takes no part in equality.  ``_memo`` keys rows by CNF terms.
+    A system keeps no spellings: the sets it builds are spelled by
+    ``ordinal._format_terms``, one cache for the whole process.
 
     Such a system is also built from its parent's normalized parts: it shares
     every level tuple and every entry it does not change, so an extension
@@ -87,7 +90,7 @@ class StabilitySystem:
     """
 
     __slots__ = ("bound", "levels", "_ks", "_top", "_memo", "_compiled", "_report",
-                 "_base", "_names", "__weakref__")
+                 "_base", "__weakref__")
 
     def __init__(self, bound: Ordinal, exceptions: Mapping[int, Mapping[Ordinal, Ordinal]] | None = None):
         if not isinstance(bound, Ordinal):
@@ -113,7 +116,6 @@ class StabilitySystem:
         self._compiled: dict | None = None
         self._report: ValidationReport | None = None
         self._base = base
-        self._names: dict = {}
 
     @classmethod
     def _derived(cls, bound: Ordinal, levels: Levels,
@@ -151,8 +153,8 @@ class StabilitySystem:
         return sum(len(entries) for _, entries in self.levels)
 
     def max_key(self) -> Ordinal | None:
-        keys = [entries[-1][0] for _, entries in self.levels]
-        return max(keys) if keys else None
+        keys = [entries[-1][0] for _, entries in self.levels]  # each level's largest key
+        return max(keys, key=attrgetter("terms"), default=None)
 
     def with_bound(self, new_bound: Ordinal) -> "StabilitySystem":
         if not isinstance(new_bound, Ordinal):
@@ -190,8 +192,8 @@ class StabilitySystem:
         return node if node is not self or self._keys_below_bound() else self._base
 
     def _keys_below_bound(self) -> bool:
-        top_key = self.max_key()
-        return top_key is None or top_key < self.bound
+        bound = self.bound.terms
+        return all(entries[-1][0].terms < bound for _, entries in self.levels)
 
     def _as_dict(self) -> dict[int, dict[Ordinal, Ordinal]]:
         return {k: dict(entries) for k, entries in self.levels}
@@ -458,7 +460,7 @@ def _pred(p: StabilitySystem, k: int, beta: Ordinal) -> IntervalSet:
     r = bisect_right(ks, k)
     t = beta.terms
     if not r:
-        return _segment(p, t)
+        return _segment(t)
     row = p._memo.get(t)
     if row is not None and (s := row.get(ks[r - 1])) is not None:
         return s
@@ -495,21 +497,20 @@ def _grow(p: StabilitySystem, r: int, t: tuple, row: dict | None) -> IntervalSet
                 # a top interval [x, a) widens to [x, b); else [a, b) is appended
                 lows, highs = ((s.lows, s.highs[:-1]) if s.highs[-1:] == (a,)
                                else (s.lows + (a,), s.highs))
-                s = row[j] = IntervalSet._ends(lows, highs + (t,), p._names)
+                s = row[j] = IntervalSet._ends(lows, highs + (t,))
         return s
     below = None
     for j, (_, terms, rows, _) in islice(levels.items(), r):
         if (s := row.get(j)) is None:
             s = row[j] = _step(terms, rows, j, bisect_left(terms, t),
-                               _segment(p, t) if below is None else below, t)
+                               _segment(t) if below is None else below, t)
         below = s
     return below
 
 
-def _segment(p: StabilitySystem, t: tuple) -> IntervalSet:
-    """[0, b), the level-0 predecessor set of the point with CNF terms t,
-    spelled through p's table."""
-    return IntervalSet._ends(((),), (t,), p._names) if t else IntervalSet._ends((), (), p._names)
+def _segment(t: tuple) -> IntervalSet:
+    """[0, b), the level-0 predecessor set of the point with CNF terms t."""
+    return IntervalSet._ends(((),), (t,)) if t else IntervalSet._ends((), ())
 
 
 def _compiled(p: StabilitySystem) -> dict:
@@ -602,9 +603,10 @@ def _blocking_witness(g: StabilitySystem, k: int, alpha: Ordinal,
     level-k key in (alpha, b] valued below alpha that constrains b.  As b is
     above every key, that is: the key has a stored row and is in ``below``.
     """
-    entries, _, rows, _ = _compiled(g)[k]
-    return next((k, key, value) for (key, value), row in zip(entries, rows)
-                if row is not None and alpha < key and value < alpha and below.member(key))
+    entries, terms, rows, _ = _compiled(g)[k]
+    t = alpha.terms
+    return next((k, key, value) for (key, value), g_t, row in zip(entries, terms, rows)
+                if row is not None and t < g_t and value.terms < t and below.member(key))
 
 
 def _step(terms: list[tuple], rows: list[dict[int, IntervalSet] | None], j: int, i: int,
@@ -624,12 +626,12 @@ def _step(terms: list[tuple], rows: list[dict[int, IntervalSet] | None], j: int,
         if rows[i] is not None and (x := bisect_right(lows, g)) and g < highs[x - 1]:
             head = rows[i][j]
             if head.highs and c < head.highs[-1]:
-                return IntervalSet._ends(*_cut(head.lows, head.highs, (), c), head._names)
+                return IntervalSet._ends(*_cut(head.lows, head.highs, (), c))
             lows, highs = _cut(lows, highs, g, c)
-            return IntervalSet._ends(head.lows + lows, head.highs + highs, below._names)
+            return IntervalSet._ends(head.lows + lows, head.highs + highs)
     if not highs or highs[-1] <= c:
         return below
-    return IntervalSet._ends(*_cut(lows, highs, (), c), below._names)
+    return IntervalSet._ends(*_cut(lows, highs, (), c))
 
 
 def _is_limit(p: StabilitySystem, k: int, beta: Ordinal) -> bool:
@@ -742,7 +744,7 @@ def check_tree_properties(p: StabilitySystem, k: int,
       so f_{k+1}(g) >= a.  Hence a <_{k+1} b.
     - Closure: every interval of ``P_k(b)`` ends at b or at a successor.  By
       induction on the level and, within a level, on b, over how ``_pred``
-      builds the set.  ``_segment(p, b)`` is the one interval [0, b).  A level
+      builds the set.  ``_segment(b)`` is the one interval [0, b).  A level
       with no keys copies the set below.  ``_step`` cuts pieces of
       ``P_{j-1}(b)`` and of ``P_j(g*)`` at a cap that is b or v_b + 1; a cut
       moves only the end it cuts, to the cap, and cutting at a low end moves

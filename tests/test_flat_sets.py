@@ -10,18 +10,21 @@ systems and their mutants:
 - ``str`` is byte-identical to ``old_text``, the spelling the set had when
   it held ``OrdinalInterval`` objects: ``format_ordinal`` on each end.
 
-The sets of one system spell their ends through the system's table, so
-printing all of them spells each distinct end once.
+Every end is spelled by ``ordinal._format_terms``, whose cache spells it
+once however many sets hold it: printing all the sets of one system misses
+the cache once per distinct end.
 """
 
 import random
 
+from hypothesis import given, settings, strategies as st
+
 from stabforce import IntervalSet, ordinal, pred_set, probe_points
 from stabforce.gen import mutate_system, random_system
-from stabforce.ordinal import format_ordinal
+from stabforce.ordinal import Ordinal, format_ordinal
 from stabforce.simulate import run_construction
 from stabforce.stability import system_from_dict, system_to_dict
-from test_stability import _chain_pattern, random_invalid_system
+from test_stability import _chain_pattern, random_invalid_system, reference_format
 
 
 def old_text(s):
@@ -36,7 +39,6 @@ def assert_flat(s):
     assert all(a < b for a, b in zip(ends, ends[1:])), str(s)
     again = IntervalSet(s.intervals)
     assert again == s and hash(again) == hash(s)
-    assert s._names is not None
     assert str(s) == old_text(s)
 
 
@@ -67,19 +69,37 @@ def test_kernel_sets_have_ascending_ends_and_old_text():
     assert count > 5000
 
 
-def test_a_system_spells_each_end_once(monkeypatch):
+def test_a_system_spells_each_end_once():
     # a system read back from its dict shares no rows with a base system
     p = system_from_dict(system_to_dict(run_construction(_chain_pattern(40)).g))
-    spelled = []
-    real = ordinal._format_terms
-    monkeypatch.setattr(ordinal, "_format_terms", lambda t: spelled.append(t) or real(t))
-    printed = []
-    for k in range(1, p.depth + 2):
-        for b in probe_points(p):
-            s = pred_set(p, k, b)
-            assert s._names is p._names
-            printed.append((s, str(s)))
-    monkeypatch.undo()
-    ends = {t for s, _ in printed for t in s.lows + s.highs}
-    assert len(spelled) == len(set(spelled)) == len(ends) > 40
-    assert all(text == old_text(s) for s, text in printed)
+    sets = [pred_set(p, k, b) for k in range(1, p.depth + 2) for b in probe_points(p)]
+    ends = {t for s in sets for t in s.lows + s.highs}
+    ordinal._format_terms.cache_clear()
+    printed = [str(s) for s in sets]
+    assert ordinal._format_terms.cache_info().misses == len(ends) > 40
+    assert printed == [old_text(s) for s in sets]
+
+
+_terms = st.lists(st.tuples(st.integers(0, 6), st.integers(1, 10**20)), max_size=5).map(
+    lambda pairs: tuple(sorted(dict(pairs).items(), reverse=True)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(_terms, min_size=2, max_size=12, unique=True), st.integers(1, 10**9))
+def test_spellings_past_the_cache_bound_match_an_uncached_speller(first, start):
+    """Spell ``first``, then more distinct terms than the cache holds, so that
+    ``first`` is evicted, then spell ``first`` again, alone and as set ends;
+    ``reference_format`` spells without a cache."""
+    spell = ordinal._format_terms
+    spell.cache_clear()
+    maxsize = spell.cache_info().maxsize
+    filler = [((2, start + i), (0, 1)) for i in range(maxsize + 1)]
+    for terms in first + filler:
+        assert format_ordinal(Ordinal(terms)) == reference_format(Ordinal(terms))
+    assert spell.cache_info().currsize == maxsize
+    ends = [Ordinal(terms) for terms in sorted(first)]
+    s = IntervalSet.of(*zip(ends[0::2], ends[1::2]))
+    for a in ends:
+        assert format_ordinal(a) == reference_format(a)
+    assert str(s) == " u ".join(f"[{reference_format(iv.low)}, {reference_format(iv.high)})"
+                                for iv in s.intervals) and len(s.lows) == len(first) // 2

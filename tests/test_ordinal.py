@@ -275,7 +275,7 @@ def test_merge_intersect_matches_nested_loop(s, t, x, y):
 
 @given(_wide_interval_sets)
 def test_interval_set_text_is_cached_and_unchanged(s):
-    """``str`` builds the text once from ``format_ordinal``; it is the
+    """``str`` builds the text once from ``_format_terms``; it is the
     spelling of the intervals joined by " u ", and "{}" for the empty set,
     whether the set came from the constructor or from ``intersect``."""
     for t in (s, s.intersect(s)):

@@ -120,3 +120,23 @@ def test_interval_sets_bisect_plain_ends():
     built = [f"stability.py:{line}" for line, called, _ in _calls("stability.py")
              if called == "OrdinalInterval"]
     assert keyed == [] and built == []
+
+
+def test_terms_are_spelled_in_one_place():
+    """``ordinal._format_terms`` alone spells terms: every ``IntervalSet._ends``
+    call passes the two end tuples and nothing else (a starred ``_cut`` call
+    is both), and neither ``Ordinal`` nor ``StabilitySystem`` declares a slot
+    for text, so no spelling table rides along with the sets again."""
+    package = pathlib.Path(stabforce.__file__).parent
+
+    def arity(node: ast.Call) -> int:
+        cut = [arg for arg in node.args if isinstance(arg, ast.Starred)
+               and getattr(getattr(arg.value, "func", None), "id", None) == "_cut"]
+        return len(node.args) + len(cut) + len(node.keywords)
+
+    calls = [(path.name, line, arity(node)) for path in sorted(package.glob("*.py"))
+             for line, called, node in _calls(path.name) if called == "_ends"]
+    assert len(calls) > 5 and [c for c in calls if c[2] != 2] == []
+    spelling = [f"{cls.__name__}.{slot}" for cls in (stabforce.Ordinal, stabforce.StabilitySystem)
+                for slot in cls.__slots__ if "text" in slot or "name" in slot]
+    assert spelling == []

@@ -756,7 +756,7 @@ def test_format_ordinal_memo_matches_reference(terms):
     a = Ordinal(terms)
     first = format_ordinal(a)
     assert first == reference_format(a) == str(a)
-    assert format_ordinal(a) is first  # memoized on the ordinal
+    assert format_ordinal(a) is first  # cached by terms
     assert format_ordinal(Ordinal(terms)) == first
 
 
