@@ -110,17 +110,16 @@ class Ordinal:
     def __add__(self, other: "Ordinal") -> "Ordinal":
         if not isinstance(other, Ordinal):
             return NotImplemented
-        if other.is_zero:
+        o, s = other.terms, self.terms
+        if not o:
             return self
-        if self.is_zero:
-            return other
-        lead = other.terms[0][0]
-        kept = tuple(t for t in self.terms if t[0] > lead)
-        absorbed = next((t for t in self.terms if t[0] == lead), None)
-        if absorbed is None:
-            return _from_cnf(kept + other.terms)
-        merged = (lead, absorbed[1] + other.terms[0][1])
-        return _from_cnf(kept + (merged,) + other.terms[1:])
+        lead, c = o[0]
+        # the terms of self above other's lead are kept, one at lead absorbs
+        # other's lead, and the rest are swallowed
+        for i, (e, d) in enumerate(s):
+            if e <= lead:
+                return _from_cnf(s[:i] + ((lead, d + c),) + o[1:] if e == lead else s[:i] + o)
+        return _from_cnf(s + o)
 
     # -- comparisons -------------------------------------------------------
 
@@ -167,6 +166,11 @@ def _from_cnf(terms: Terms) -> Ordinal:
     a.terms = terms
     a._hash = hash(terms)
     return a
+
+
+def _succ(t: Terms) -> Terms:
+    """The CNF terms of a + 1, for the ordinal a with CNF terms t."""
+    return t[:-1] + ((0, t[-1][1] + 1),) if t and not t[-1][0] else t + ((0, 1),)
 
 
 ZERO = Ordinal()

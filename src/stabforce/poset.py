@@ -108,14 +108,22 @@ def extend_with_top_exception(p: StabilitySystem, alpha: Ordinal, level: int,
     fresh default stretch and is a limit point of every level's order; the
     only non-trivial requirement is value <=_level alpha, checked in the
     candidate itself.
+
+    The candidate q is ``canonical_extend(p, alpha).with_exception(level,
+    alpha, value)``, made in one derivation: bound alpha + 1, with
+    (alpha, value) after every key of its level.  q links straight to p.  p
+    is required valid, so V2 puts its keys below its bound, and alpha > top
+    gives alpha >= bound.  So q repeats every exception of p below p's
+    bound, and p is an end-extension base of q: the one ``_base_at_most``
+    returns for the two-step system, whose walk passes the canonical
+    extension, as alpha lies below its bound alpha + 1, and stops at p.
     """
     _require_valid(p)
     if not alpha > p.top:
         raise OutOfRangeError(f"new top {alpha} must be strictly above {p.top}")
     if not alpha.is_limit:
         raise OutOfRangeError(f"new top {alpha} must be a limit ordinal")
-    base = canonical_extend(p, alpha)
-    q = base.with_exception(level, alpha, value)
+    q = p._with_top_exception(level, alpha, value)
     if not le_k(q, level, value, alpha):
         raise TargetNotReachableError(
             f"{value} does not sit below {alpha} in the level-{level} order")

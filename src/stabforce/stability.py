@@ -54,7 +54,9 @@ from .ordinal import (
     Ordinal,
     _brief,
     _cut,
+    _from_cnf,
     _nat,
+    _succ,
     format_ordinal,
     parse_ordinal,
 )
@@ -73,9 +75,10 @@ class StabilitySystem:
     Immutable value type.  ``depth`` is the largest level carrying exceptions
     (at least 1); queries at deeper levels see all-default maps.
 
-    A system made by ``with_bound`` or ``with_exception`` keeps a private link
-    ``_base`` to an end-extension base: a system on its chain whose keys all
-    lie below its own bound and whose exceptions it repeats below that bound.
+    A system made by ``with_bound``, ``with_exception`` or
+    ``_with_top_exception`` keeps a private link ``_base`` to an
+    end-extension base: a system on its chain whose keys all lie below its
+    own bound and whose exceptions it repeats below that bound.
     The base's keys are therefore the first of its own at every level, so its
     compiled levels (see ``_compiled``) extend the base's, sharing every old
     binding key's row, every violation and every level that gains no key,
@@ -162,6 +165,20 @@ class StabilitySystem:
         return self._derived(new_bound, self.levels, self._base_at_most(new_bound))
 
     def with_exception(self, k: int, key: Ordinal, value: Ordinal) -> "StabilitySystem":
+        return self._derived(self.bound, self._levels_with(k, key, value),
+                             self._base_at_most(key))
+
+    def _with_top_exception(self, k: int, key: Ordinal, value: Ordinal) -> "StabilitySystem":
+        """self with bound key + 1 and (key, value) at level k, in one
+        derivation linked to self; self must be valid and key at or above its
+        bound (the proof is at ``poset.extend_with_top_exception``)."""
+        return self._derived(_from_cnf(_succ(key.terms)), self._levels_with(k, key, value),
+                             self)
+
+    def _levels_with(self, k: int, key: Ordinal, value: Ordinal) -> Levels:
+        """self's levels with (key, value) added at level k, sharing every
+        level tuple and entry it does not change; an identity value is the
+        default and is not stored."""
         lvl = int(k)
         if lvl < 1:
             raise ValueError(f"exception level {k} must be >= 1")
@@ -172,10 +189,10 @@ class StabilitySystem:
         j = bisect_left(entries, key.terms, key=_entry_key)
         if j < len(entries) and entries[j][0] == key:
             raise ValueError(f"level {k} already has an exception at {key}")
-        if key != value:  # an identity value is the default and is not stored
+        if key != value:
             level = (lvl, entries[:j] + ((key, value),) + entries[j:])
             levels = levels[:i] + (level,) + levels[i + 1 if has_level else i:]
-        return self._derived(self.bound, levels, self._base_at_most(key))
+        return levels
 
     def _base_at_most(self, cut: Ordinal) -> "StabilitySystem | None":
         """The nearest system on self's chain (self first) whose bound is at
@@ -253,6 +270,9 @@ class ValidationReport:
 
     def to_dict(self) -> dict:
         return {"valid": self.valid, "violations": [asdict(v) for v in self.violations]}
+
+
+_VALID = ValidationReport(valid=True, violations=())  # shared by every valid system
 
 
 @dataclass(frozen=True)
@@ -563,7 +583,7 @@ def _compiled(p: StabilitySystem) -> dict:
                 dom = bool(highs) and highs[-1][-1][0] >= 1
                 bind = dom and v.terms < g.terms
                 own = row[j] = _step(terms, rows, j, len(terms), below,
-                                     (v + ONE).terms if bind else g.terms)
+                                     _succ(v.terms) if bind else g.terms)
                 terms.append(g.terms)
                 rows.append(row if bind else None)
                 at_lim2 = bind and g.is_lim2 and highs[-1] == g.terms
@@ -590,7 +610,8 @@ def _compiled(p: StabilitySystem) -> dict:
             Violation("V1", 0, format_ordinal(node.bound), "bound must be a successor ordinal")]
         for level in levels.values():
             violations += level[3]
-        node._report = ValidationReport(valid=not violations, violations=tuple(violations))
+        node._report = (ValidationReport(valid=False, violations=tuple(violations))
+                        if violations else _VALID)
     return p._compiled
 
 

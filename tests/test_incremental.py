@@ -1,10 +1,11 @@
 """The end-extension path against cold rebuilds.
 
-Systems made by ``with_bound`` and ``with_exception`` keep a link to an
-end-extension base and extend the base's compiled levels, violations
-included, with their own keys, which the compile pass checks as it compiles
-them.  A cold rebuild of the same system has no link, so every comparison
-here sets the incremental path against the from-scratch one.
+Systems made by ``with_bound``, ``with_exception`` and
+``_with_top_exception`` keep a link to an end-extension base and extend the
+base's compiled levels, violations included, with their own keys, which the
+compile pass checks as it compiles them.  A cold rebuild of the same system
+has no link, so every comparison here sets the incremental path against the
+from-scratch one.
 """
 
 import random
@@ -70,9 +71,10 @@ def assert_same_as_cold(q: StabilitySystem) -> None:
 
 @pytest.fixture
 def made(monkeypatch):
-    """Every system made by with_bound or with_exception, in creation order."""
+    """Every system made by with_bound, with_exception or _with_top_exception,
+    in creation order."""
     out: list[StabilitySystem] = []
-    for name in ("with_bound", "with_exception"):
+    for name in ("with_bound", "with_exception", "_with_top_exception"):
         original = getattr(StabilitySystem, name)
 
         def recording(self, *args, _original=original):
@@ -262,9 +264,11 @@ def chain_points(q: StabilitySystem) -> list:
 
 @pytest.fixture
 def made_from(monkeypatch):
-    """(parent, cut, made system) for every with_bound/with_exception call."""
+    """(parent, cut, made system) for every with_bound, with_exception or
+    _with_top_exception call; the cut is the new bound or the new key."""
     out: list = []
-    for name, cut_at in (("with_bound", 0), ("with_exception", 1)):
+    for name, cut_at in (("with_bound", 0), ("with_exception", 1),
+                         ("_with_top_exception", 1)):
         original = getattr(StabilitySystem, name)
 
         def recording(self, *args, _original=original, _cut_at=cut_at):
