@@ -11,7 +11,6 @@ identical bytes.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import random
 import re
@@ -57,6 +56,7 @@ from .simulate import (
 from .stability import (
     StabilitySystem,
     _json_text,
+    _read_json,
     check_predecessor_laws,
     check_tree_properties,
     is_k_limit,
@@ -97,21 +97,9 @@ def _ordinals(text: str | None) -> list[Ordinal]:
     return [parse_ordinal(t) for t in text.split(",")] if text else []
 
 
-def _no_dupes(pairs):
-    out = {}
-    for key, value in pairs:
-        if key in out:
-            raise ValueError(f"duplicate JSON key {key!r}")
-        out[key] = value
-    return out
-
-
 def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh, object_pairs_hook=_no_dupes, parse_int=_nat)
-        except RecursionError:
-            raise ValueError("JSON nesting is too deep") from None
+        return _read_json(fh.read())
 
 
 def _load_system(path: str) -> StabilitySystem:

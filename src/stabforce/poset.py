@@ -24,6 +24,8 @@ from .errors import (
 from .ordinal import OMEGA, Ordinal, _brief, format_ordinal, parse_ordinal
 from .stability import (
     StabilitySystem,
+    _json_field,
+    _json_object,
     disagreeing_levels,
     dom_f,
     le_k,
@@ -223,20 +225,15 @@ def chain_to_dict(chain: ChainPresentation) -> dict:
 
 
 def chain_from_dict(d: Mapping) -> ChainPresentation:
-    if not isinstance(d, Mapping):
-        raise ValueError("chain must be a JSON object")
-    unknown = set(d) - {"chain", "target", "ell"}
-    if unknown:
-        raise ValueError(f"unknown chain fields: {sorted(unknown)}")
+    _json_object(d, "chain", ("chain", "target", "ell"))
     chain, ell = d.get("chain", []), d.get("ell", 1)
     if not isinstance(chain, (list, tuple)):
         raise ValueError("chain 'chain' must be a JSON array of systems")
     if isinstance(ell, bool) or not isinstance(ell, int) or ell < 1:
         raise ValueError(f"chain 'ell' must be an integer >= 1, got {ell!r}")
-    if "target" not in d:
-        raise ValueError("chain is missing 'target'")
+    target = _json_field(d, "chain", "target")
     return ChainPresentation(conditions=tuple(system_from_dict(s) for s in chain),
-                             target=parse_ordinal(d["target"]), ell=ell)
+                             target=parse_ordinal(target), ell=ell)
 
 
 # -- dense sets and the generic engine -----------------------------------------

@@ -25,6 +25,10 @@ from .stability import (
     StabilitySystem,
     Violation,
     _blocking_witness,
+    _json_field,
+    _json_int,
+    _json_list,
+    _json_object,
     _pred,
     disagreeing_levels,
     dom_f,
@@ -420,26 +424,16 @@ def pattern_to_dict(pattern: StabilityPattern) -> dict:
 
 
 def pattern_from_dict(d: Mapping) -> StabilityPattern:
-    if not isinstance(d, Mapping):
-        raise ValueError("pattern must be a JSON object")
-    unknown = set(d) - {"points", "st"}
-    if unknown:
-        raise ValueError(f"unknown pattern fields: {sorted(unknown)}")
+    _json_object(d, "pattern", ("points", "st"))
     points = []
     for index, entry in enumerate(_json_list(d.get("points", []), "pattern 'points'")):
-        if not isinstance(entry, Mapping):
-            raise ValueError("each pattern point must be a JSON object")
-        extra = set(entry) - {"pos", "inC", "cofinalLevels"}
-        if extra:
-            raise ValueError(f"unknown point fields: {sorted(extra)}")
-        for field in ("pos", "inC"):
-            if field not in entry:
-                raise ValueError(f"pattern point {index} is missing '{field}'")
-        in_c = entry["inC"]
+        _json_object(entry, "each pattern point", ("pos", "inC", "cofinalLevels"), "point")
+        pos = _json_field(entry, f"pattern point {index}", "pos")
+        in_c = _json_field(entry, f"pattern point {index}", "inC")
         if not isinstance(in_c, bool):
             raise ValueError(f"point 'inC' must be true or false, got {in_c!r}")
         levels = _json_list(entry.get("cofinalLevels", []), "point 'cofinalLevels'")
-        points.append(PatternPoint(pos=parse_ordinal(entry["pos"]), in_c=in_c,
+        points.append(PatternPoint(pos=parse_ordinal(pos), in_c=in_c,
                                    cofinal_levels=frozenset(_json_int(x, "cofinal level")
                                                             for x in levels)))
     st = []
@@ -450,18 +444,6 @@ def pattern_from_dict(d: Mapping) -> StabilityPattern:
         st.append((parse_ordinal(a), parse_ordinal(b), _json_int(deg, "degree")))
     st.sort(key=lambda t: (t[0].terms, t[1].terms))
     return StabilityPattern(points=tuple(points), st=tuple(st))
-
-
-def _json_list(value, what: str) -> list | tuple:
-    if not isinstance(value, (list, tuple)):
-        raise ValueError(f"{what} must be a JSON list")
-    return value
-
-
-def _json_int(value, what: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    return value
 
 
 def result_to_dict(result: SimulationResult) -> dict:

@@ -489,14 +489,16 @@ def _pred(p: StabilitySystem, k: int, beta: Ordinal) -> IntervalSet:
 
 def _grow(p: StabilitySystem, r: int, t: tuple, row: dict | None) -> IntervalSet:
     """The set of the point b with CNF terms t at p's r-th level with keys,
-    after filling b's row (None before its first query, when a limit b
-    adopts the row stored at its highest binding key level, if any) at every
-    key level up to that one.  Once p's compile pass has finished, a b = a + 1
-    with a zero or a limit reads each set off a's, growing a's row first;
-    any other b takes ``_step`` per level (see ``_pred``)."""
-    levels = p._compiled
-    if levels is None:
-        levels = _compiled(p)
+    after filling b's row, ``row`` as read from p's memo, at every key level
+    up to that one.  A call that runs p's compile pass reads the memo again
+    after it, as the pass puts a row there for each key it compiles.  A b
+    with no row yet (its first query) adopts, if it is a limit, the row
+    stored at its highest binding key level, if any, else starts an empty
+    one.  Once p's compile pass has finished, a b = a + 1 with a zero or a
+    limit reads each set off a's, growing a's row first; any other b takes
+    ``_step`` per level (see ``_pred``)."""
+    if (levels := p._compiled) is None:
+        levels, row = _compiled(p), p._memo.get(t)
     if row is None:
         row = {}
         if t and t[-1][0]:  # only a limit can hold a stored row
@@ -865,31 +867,6 @@ def system_to_dict(p: StabilitySystem) -> dict:
     }
 
 
-_LEVEL_KEY = re.compile(r"[1-9][0-9]*")
-
-
-def system_from_dict(d: Mapping) -> StabilitySystem:
-    if not isinstance(d, Mapping):
-        raise ValueError("system must be a JSON object")
-    unknown = set(d) - {"bound", "levels"}
-    if unknown:
-        raise ValueError(f"unknown system fields: {sorted(unknown)}")
-    if "bound" not in d:
-        raise ValueError("system is missing 'bound'")
-    bound = parse_ordinal(d["bound"])
-    levels = d.get("levels", {})
-    if not isinstance(levels, Mapping):
-        raise ValueError("system 'levels' must be a JSON object")
-    exceptions: dict[int, dict[Ordinal, Ordinal]] = {}
-    for k_text, entries in levels.items():
-        if not (isinstance(k_text, str) and _LEVEL_KEY.fullmatch(k_text)):
-            raise ValueError(f"level key {k_text!r} must be a decimal integer >= 1")
-        if not isinstance(entries, Mapping):
-            raise ValueError(f"level {k_text} must map keys to values in a JSON object")
-        exceptions[_nat(k_text)] = {parse_ordinal(g): parse_ordinal(v) for g, v in entries.items()}
-    return StabilitySystem(bound, exceptions)
-
-
 def system_to_json(p: StabilitySystem) -> str:
     return _json_text(p)
 
@@ -963,5 +940,77 @@ def _level_text(entries: Entries, nl: str, seen: dict) -> str:
     return text
 
 
+# -- JSON reading --------------------------------------------------------------
+# Every document the package reads (a system, a chain, a pattern) is parsed by
+# ``_read_json`` and its fields checked by the helpers below, so the library
+# and the CLI refuse the same documents with the same messages.
+
+
+_LEVEL_KEY = re.compile(r"[1-9][0-9]*")
+
+
+def system_from_dict(d: Mapping) -> StabilitySystem:
+    _json_object(d, "system", ("bound", "levels"))
+    bound = parse_ordinal(_json_field(d, "system", "bound"))
+    levels = d.get("levels", {})
+    if not isinstance(levels, Mapping):
+        raise ValueError("system 'levels' must be a JSON object")
+    exceptions: dict[int, dict[Ordinal, Ordinal]] = {}
+    for k_text, entries in levels.items():
+        if not (isinstance(k_text, str) and _LEVEL_KEY.fullmatch(k_text)):
+            raise ValueError(f"level key {k_text!r} must be a decimal integer >= 1")
+        if not isinstance(entries, Mapping):
+            raise ValueError(f"level {k_text} must map keys to values in a JSON object")
+        exceptions[_nat(k_text)] = {parse_ordinal(g): parse_ordinal(v) for g, v in entries.items()}
+    return StabilitySystem(bound, exceptions)
+
+
 def system_from_json(text: str) -> StabilitySystem:
-    return system_from_dict(json.loads(text))
+    return system_from_dict(_read_json(text))
+
+
+def _no_dupes(pairs):
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ValueError(f"duplicate JSON key {key!r}")
+        out[key] = value
+    return out
+
+
+def _read_json(text: str):
+    """The JSON value of ``text``.  A duplicate key, an integer too long to
+    convert and nesting too deep for the parser are each a ValueError."""
+    try:
+        return json.loads(text, object_pairs_hook=_no_dupes, parse_int=_nat)
+    except RecursionError:
+        raise ValueError("JSON nesting is too deep") from None
+
+
+def _json_object(value, what: str, fields: tuple[str, ...], kind: str | None = None) -> None:
+    """Refuse ``value`` unless it is an object with no field outside
+    ``fields``.  The messages call it ``what`` and its fields ``kind`` fields
+    (``what`` fields by default)."""
+    if not isinstance(value, Mapping):
+        raise ValueError(f"{what} must be a JSON object")
+    if unknown := sorted(set(value).difference(fields)):
+        raise ValueError(f"unknown {kind or what} fields: {unknown}")
+
+
+def _json_field(d: Mapping, what: str, field: str):
+    """The required ``field`` of the object ``d``, which the message calls ``what``."""
+    if field not in d:
+        raise ValueError(f"{what} is missing '{field}'")
+    return d[field]
+
+
+def _json_list(value, what: str) -> list | tuple:
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{what} must be a JSON list")
+    return value
+
+
+def _json_int(value, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value

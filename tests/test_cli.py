@@ -277,6 +277,131 @@ def test_malformed_chain_rejected(capsys, tmp_path, chain, message):
     assert message in err
 
 
+_S = _CHAIN[0]
+_P = _point()
+_D = json.dumps
+
+# (command, file contents, the whole stderr line after "input error: "); a
+# case id with "-and-" holds several faults and pins which one is reported
+_REFUSALS = {
+    "json-syntax": ("validate", "{not json",
+                    "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+    "duplicate-key": ("validate", '{"bound": "w+1", "levels": {}, "bound": "w+1"}',
+                      "duplicate JSON key 'bound'"),
+    "duplicate-entry": ("validate", '{"bound": "w*3+1", "levels": {"1": {"w*2": "5", "w*2": "6"}}}',
+                        "duplicate JSON key 'w*2'"),
+    "deep-lists": ("validate", "[" * 100_000, "JSON nesting is too deep"),
+    "huge-integer": ("validate", '{"bound": ' + "9" * 5000 + "}",
+                     "a number of 5000 digits is too long (at most 4300 digits)"),
+    "not-utf8": ("validate", b'{"bound": "\xff"}',
+                 "'utf-8' codec can't decode byte 0xff in position 11: invalid start byte"),
+    "system-not-object": ("validate", _D([_S]), "system must be a JSON object"),
+    "system-unknown": ("validate", _D({**_S, "top": "w"}), "unknown system fields: ['top']"),
+    "system-missing-bound": ("validate", _D({"levels": {}}), "system is missing 'bound'"),
+    "system-bound-not-text": ("validate", _D({"bound": 5}), "expected text, got int"),
+    "system-bound-noncanonical": ("validate", _D({"bound": "w+w"}),
+                                  "'w+w': exponents must strictly decrease"),
+    "system-levels-not-object": ("validate", _D({"bound": "w*3+1", "levels": ["w*2"]}),
+                                 "system 'levels' must be a JSON object"),
+    "system-level-key": ("validate", _D({"bound": "w*3+1", "levels": {"0": {"w*2": "5"}}}),
+                         "level key '0' must be a decimal integer >= 1"),
+    "system-level-not-object": ("validate", _D({"bound": "w*3+1", "levels": {"1": ["w*2"]}}),
+                                "level 1 must map keys to values in a JSON object"),
+    "system-value-not-text": ("validate", _D({"bound": "w*3+1", "levels": {"1": {"w*2": 5}}}),
+                              "expected text, got int"),
+    "system-key-syntax": ("validate", _D({"bound": "w*3+1", "levels": {"1": {"2*w": "5"}}}),
+                          "bad token '2*w'"),
+    "system-unknown-and-missing": ("validate", _D({"top": "w", "levels": []}),
+                                   "unknown system fields: ['top']"),
+    "system-bound-and-levels": ("validate", _D({"bound": "w+w", "levels": []}),
+                                "'w+w': exponents must strictly decrease"),
+    "system-level-and-level": ("validate", _D({"bound": "w*3+1", "levels": {"0": [], "1": []}}),
+                               "level key '0' must be a decimal integer >= 1"),
+    "chain-not-object": ("infimum", _D([_S]), "chain must be a JSON object"),
+    "chain-unknown": ("infimum", _D({"chain": [_S], "target": "w*5", "limit": 1}),
+                      "unknown chain fields: ['limit']"),
+    "chain-not-array": ("infimum", _D({"chain": _S, "target": "w*5"}),
+                        "chain 'chain' must be a JSON array of systems"),
+    "chain-ell": ("infimum", _D({"chain": [_S], "target": "w*5", "ell": 0}),
+                  "chain 'ell' must be an integer >= 1, got 0"),
+    "chain-missing-target": ("infimum", _D({"chain": [_S], "ell": 1}),
+                             "chain is missing 'target'"),
+    "chain-target-syntax": ("infimum", _D({"chain": [_S], "target": "w*w"}), "bad token 'w*w'"),
+    "chain-bad-system": ("infimum", _D({"chain": [{"levels": {}}], "target": "w*5"}),
+                         "system is missing 'bound'"),
+    "chain-not-array-and-missing-target": ("infimum", _D({"chain": _S, "ell": 1}),
+                                           "chain 'chain' must be a JSON array of systems"),
+    "chain-ell-and-missing-target": ("infimum", _D({"chain": [_S], "ell": "1"}),
+                                     "chain 'ell' must be an integer >= 1, got '1'"),
+    "chain-bad-system-and-missing-target": ("infimum", _D({"chain": [{"levels": {}}]}),
+                                            "chain is missing 'target'"),
+    "chain-bad-system-and-target": ("infimum", _D({"chain": [{"levels": {}}], "target": "w*w"}),
+                                    "system is missing 'bound'"),
+    "chain-unknown-and-ell": ("infimum", _D({"chains": [], "ell": 0}),
+                              "unknown chain fields: ['chains']"),
+    "pattern-not-object": ("simulate", _D([_P]), "pattern must be a JSON object"),
+    "pattern-unknown": ("simulate", _D({"points": [_P], "club": []}),
+                        "unknown pattern fields: ['club']"),
+    "pattern-points-not-list": ("simulate", _D({"points": _P}),
+                                "pattern 'points' must be a JSON list"),
+    "pattern-st-not-list": ("simulate", _D({"points": [_P], "st": {}}),
+                            "pattern 'st' must be a JSON list"),
+    "pattern-st-entry": ("simulate", _D({"points": [_P], "st": [["w*6", "w*20"]]}),
+                         "each 'st' entry must be a list [position, position, degree]"),
+    "pattern-degree": ("simulate", _D({"points": [_P], "st": [["w*6", "w*20", 1.5]]}),
+                       "degree must be an integer, got 1.5"),
+    "pattern-st-position": ("simulate", _D({"points": [_P], "st": [["w*6", "w+w", 1]]}),
+                            "'w+w': exponents must strictly decrease"),
+    "pattern-points-and-st": ("simulate", _D({"points": {}, "st": {}}),
+                              "pattern 'points' must be a JSON list"),
+    "pattern-position-and-degree": ("simulate", _D({"points": [_P], "st": [["w*6", "w+w", True]]}),
+                                    "'w+w': exponents must strictly decrease"),
+    "point-not-object": ("simulate", _D({"points": ["w*6"]}),
+                         "each pattern point must be a JSON object"),
+    "point-unknown": ("simulate", _D({"points": [{**_P, "level": 1}]}),
+                      "unknown point fields: ['level']"),
+    "point-missing-pos": ("simulate", _D({"points": [_P, {"inC": True}]}),
+                          "pattern point 1 is missing 'pos'"),
+    "point-missing-inC": ("simulate", _D({"points": [{"pos": "w*6"}]}),
+                          "pattern point 0 is missing 'inC'"),
+    "point-inC": ("simulate", _D({"points": [{**_P, "inC": "true"}]}),
+                  "point 'inC' must be true or false, got 'true'"),
+    "point-cofinal-not-list": ("simulate", _D({"points": [{**_P, "cofinalLevels": 1}]}),
+                               "point 'cofinalLevels' must be a JSON list"),
+    "point-cofinal-level": ("simulate", _D({"points": [{**_P, "cofinalLevels": [True]}]}),
+                            "cofinal level must be an integer, got True"),
+    "point-pos-syntax": ("simulate", _D({"points": [{**_P, "pos": "w^1"}]}),
+                         "'w^1': write plain 'w' / naturals, not w^1"),
+    "point-missing-pos-and-inC": ("simulate", _D({"points": [_P, {}]}),
+                                  "pattern point 1 is missing 'pos'"),
+    "point-unknown-and-missing": ("simulate", _D({"points": [{"inC": 1, "x": 0}]}),
+                                  "unknown point fields: ['x']"),
+    "point-inC-and-pos-and-cofinal": (
+        "simulate", _D({"points": [{"pos": "w^1", "inC": 0, "cofinalLevels": 1}]}),
+        "point 'inC' must be true or false, got 0"),
+    "point-cofinal-and-pos": (
+        "simulate", _D({"points": [{"pos": "w^1", "inC": True, "cofinalLevels": 1}]}),
+        "point 'cofinalLevels' must be a JSON list"),
+    "point-pos-and-level": (
+        "simulate", _D({"points": [{"pos": "w^1", "inC": True, "cofinalLevels": [0.5]}]}),
+        "'w^1': write plain 'w' / naturals, not w^1"),
+    "point-and-next-point": ("simulate", _D({"points": [{"pos": "w^1"}, 3]}),
+                             "pattern point 0 is missing 'inC'"),
+    "point-and-st": ("simulate", _D({"points": [{"inC": True}], "st": 5}),
+                     "pattern point 0 is missing 'pos'"),
+}
+
+
+@pytest.mark.parametrize("command, text, message", list(_REFUSALS.values()), ids=list(_REFUSALS))
+def test_every_reader_refusal_has_its_exact_message(capsys, tmp_path, command, text, message):
+    path = tmp_path / "input.json"
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text, encoding="utf-8")
+    assert run_cli(capsys, command, str(path)) == (2, "", f"input error: {message}\n")
+
+
 def test_pair_declared_twice_fails_simulate(capsys, tmp_path):
     path = tmp_path / "twice.json"
     path.write_text(json.dumps({

@@ -1,6 +1,7 @@
 """Hostile input through the CLI: every file-reading subcommand either answers
 (exit 0 or 1) or refuses the file with one line on stderr (exit 2).  An
-unexpected exception is exit 3, "internal error", and is a bug."""
+unexpected exception is exit 3, "internal error", and is a bug.  The library
+reader ``system_from_json`` refuses by the same rules, with a ValueError."""
 
 import io
 import json
@@ -14,6 +15,7 @@ from stabforce import cli
 from stabforce.cli import main
 from stabforce.errors import NonCanonicalError, OrdinalSyntaxError
 from stabforce.ordinal import parse_ordinal
+from stabforce.stability import system_from_json
 
 # argv before the input file, per subcommand; the file is the last argument
 FILE_COMMANDS = {
@@ -74,6 +76,17 @@ def test_huge_integer_is_named_by_its_digit_count(tmp_path, doc):
     code, out, err = run(tmp_path, ["validate"], json.dumps(doc).replace('"HUGE"', HUGE))
     assert_input_error(code, out, err)
     assert "5000 digits" in err and "sys" not in err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[" * 200_000, "JSON nesting is too deep"),
+    ('{"bound": "w+1", "levels": {}, "bound": "w*2+1"}', "duplicate JSON key 'bound'"),
+    ('{"bound": ' + HUGE + "}", "a number of 5000 digits is too long"),
+], ids=["deep", "duplicate-bound", "huge-integer"])
+def test_library_reader_refuses_as_the_cli_does(text, message):
+    with pytest.raises(ValueError) as info:
+        system_from_json(text)
+    assert str(info.value).startswith(message) and "\n" not in str(info.value)
 
 
 def test_unexpected_exception_is_exit_3(tmp_path, monkeypatch):

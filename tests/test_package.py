@@ -140,3 +140,27 @@ def test_terms_are_spelled_in_one_place():
     spelling = [f"{cls.__name__}.{slot}" for cls in (stabforce.Ordinal, stabforce.StabilitySystem)
                 for slot in cls.__slots__ if "text" in slot or "name" in slot]
     assert spelling == []
+
+
+def test_json_documents_are_read_in_one_place():
+    """Only ``stability.py`` parses JSON text or builds the refusals that the
+    readers of systems, chains and patterns share (an unknown field, a
+    missing field), so one rule set refuses every document."""
+    package = pathlib.Path(stabforce.__file__).parent
+    where = collections.defaultdict(set)
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                    and getattr(node.func.value, "id", None) == "json" \
+                    and node.func.attr in ("load", "loads"):
+                where["json.load"].add(path.name)
+            elif isinstance(node, ast.ImportFrom) and node.module == "json" \
+                    and {"load", "loads"} & {alias.name for alias in node.names}:
+                where["json.load"].add(path.name)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                if " fields: " in node.value:
+                    where["unknown field"].add(path.name)
+                if " is missing '" in node.value:
+                    where["missing field"].add(path.name)
+    assert dict(where) == {what: {"stability.py"}
+                           for what in ("json.load", "unknown field", "missing field")}

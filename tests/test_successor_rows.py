@@ -140,6 +140,34 @@ def test_kernel_matches_general_step_on_constructions():
                 assert_matches_general_step(p, query_points(p), descending)
 
 
+def test_a_first_query_at_a_key_reads_the_row_the_compile_pass_stored(monkeypatch):
+    """A fresh system's first query at one of its own keys runs the compile
+    pass, which puts the key's row in the memo.  The query reads that row, so
+    it bisects no more than compiling first and querying after does; looking
+    for a stored row would bisect the compiled levels again."""
+    calls = []
+
+    def bisect(*args, **kw):
+        calls.append(args)
+        return bisect_left(*args, **kw)
+
+    def bisections(query):
+        calls.clear()
+        query()
+        return len(calls)
+
+    monkeypatch.setattr(stability, "bisect_left", bisect)
+    g = run_construction(_chain_pattern(6)).g
+    keys = [(j, key) for j, entries in g.levels for key, _ in entries]
+    assert len({j for j, _ in keys}) == 3
+    for j, key in keys:
+        compiled_first, cold = (StabilitySystem(g.bound, g._as_dict()) for _ in range(2))
+        first = bisections(lambda: _compiled(compiled_first))
+        first += bisections(lambda: pred_set(compiled_first, j, key))
+        assert bisections(lambda: pred_set(cold, j, key)) == first, (j, key)
+        assert pred_set(cold, j, key) == pred_set(compiled_first, j, key)
+
+
 def test_kernel_matches_the_enumerator_at_successors():
     rng = random.Random(19)
     checked = 0

@@ -1,4 +1,4 @@
-"""Print the two size counts of ROADMAP item 6 for each module of the package.
+"""Print the two size counts of ROADMAP item 7 for each module of the package.
 
     python3 tools/code_lines.py [DIRECTORY]
 
