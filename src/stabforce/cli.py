@@ -76,7 +76,7 @@ _CHECK_FAILURES = {TargetNotReachableError: "target not reachable",
                    BudgetExhaustedError: "budget exhausted",
                    InvalidConditionError: "check failed",
                    InvalidIntermediateError: "check failed"}
-_INPUT_ERRORS = (ValueError, KeyError, OSError, argparse.ArgumentTypeError)
+_INPUT_ERRORS = (ValueError, OSError, argparse.ArgumentTypeError)
 _INTEGER = re.compile(r"-?[0-9]+")
 
 

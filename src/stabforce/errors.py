@@ -40,10 +40,6 @@ class TargetNotReachableError(ValueError):
 class BudgetExhaustedError(RuntimeError):
     """meet_dense ran out of budget before satisfying every dense set."""
 
-    def __init__(self, message: str, trace=()):
-        super().__init__(message)
-        self.trace = tuple(trace)
-
 
 class InvalidIntermediateError(RuntimeError):
     """A construction stage produced an invalid stability system."""

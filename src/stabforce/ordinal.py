@@ -246,8 +246,6 @@ def parse_ordinal(text: str) -> Ordinal:
     terms = [_parse_term(tok) for tok in parts]
     if len(terms) > 1 and any(c == 0 for _, c in terms):
         raise NonCanonicalError(f"{_brief(text)!r}: zero term inside a sum")
-    if len(terms) == 1 and terms[0][1] == 0:
-        return ZERO
     for (e1, _), (e2, _) in zip(terms, terms[1:]):
         if e2 >= e1:
             raise NonCanonicalError(f"{_brief(text)!r}: exponents must strictly decrease")
@@ -387,20 +385,14 @@ class IntervalSet:
         return IntervalSet(self.intervals + other.intervals)
 
     def intersect(self, other: "IntervalSet") -> "IntervalSet":
-        """Two-pointer merge; pieces of two normalized sets come out normalized."""
-        xl, xh, yl, yh = self.lows, self.highs, other.lows, other.highs
-        lows, highs = [], []
-        i = j = 0
-        while i < len(xh) and j < len(yh):
-            lo = xl[i] if xl[i] >= yl[j] else yl[j]
-            if xh[i] <= yh[j]:
-                hi, i = xh[i], i + 1
-            else:
-                hi, j = yh[j], j + 1
-            if lo < hi:
-                lows.append(lo)
-                highs.append(hi)
-        return IntervalSet._ends(tuple(lows), tuple(highs))
+        """self cut to each interval of other in turn.  The pieces ascend, and
+        pieces cut to two intervals of other are apart, as those intervals
+        are, so their concatenation is normalized."""
+        lows, highs = (), ()
+        for lo, hi in zip(other.lows, other.highs):
+            cut_lows, cut_highs = _cut(self.lows, self.highs, lo, hi)
+            lows, highs = lows + cut_lows, highs + cut_highs
+        return IntervalSet._ends(lows, highs)
 
     def cut(self, lo: Ordinal, hi: Ordinal) -> "IntervalSet":
         """The members in [lo, hi), found by two bisections; empty unless lo < hi."""

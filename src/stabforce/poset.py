@@ -21,15 +21,16 @@ from .errors import (
     OutOfRangeError,
     TargetNotReachableError,
 )
-from .ordinal import OMEGA, Ordinal, _brief, format_ordinal, parse_ordinal
+from .ordinal import OMEGA, Ordinal, _brief, format_ordinal
 from .stability import (
     StabilitySystem,
     _json_field,
     _json_object,
+    _json_ordinal,
+    _le,
     disagreeing_levels,
     dom_f,
     le_k,
-    lt_k,
     system_from_dict,
     system_to_dict,
     validate,
@@ -62,12 +63,7 @@ def _require_valid(*systems: StabilitySystem) -> None:
 def in_poset(p: StabilitySystem, params: PosetParams) -> bool:
     """Membership test: gamma <=_ell top(p) < kappa."""
     _require_valid(p)
-    top = p.top
-    if not top < params.kappa:
-        return False
-    if params.gamma == top:
-        return True
-    return params.gamma < top and lt_k(p, params.ell, params.gamma, top)
+    return p.top < params.kappa and _le(p, params.ell, params.gamma, p.top)
 
 
 def extends(q: StabilitySystem, p: StabilitySystem, ell: int) -> bool:
@@ -233,7 +229,7 @@ def chain_from_dict(d: Mapping) -> ChainPresentation:
         raise ValueError(f"chain 'ell' must be an integer >= 1, got {ell!r}")
     target = _json_field(d, "chain", "target")
     return ChainPresentation(conditions=tuple(system_from_dict(s) for s in chain),
-                             target=parse_ordinal(target), ell=ell)
+                             target=_json_ordinal(target, "chain 'target'"), ell=ell)
 
 
 # -- dense sets and the generic engine -----------------------------------------
@@ -308,8 +304,7 @@ def meet_dense(p: StabilitySystem, dense: Sequence[DenseSet],
         if spent >= budget:
             raise BudgetExhaustedError(
                 f"budget {budget} exhausted with unmet dense sets: "
-                + ", ".join(d.name for d in remaining),
-                trace=[s for _, s in trace])
+                + ", ".join(d.name for d in remaining))
         d = remaining[0]
         spent += 1
         try:

@@ -29,6 +29,7 @@ from .stability import (
     _json_int,
     _json_list,
     _json_object,
+    _json_ordinal,
     _pred,
     disagreeing_levels,
     dom_f,
@@ -433,7 +434,7 @@ def pattern_from_dict(d: Mapping) -> StabilityPattern:
         if not isinstance(in_c, bool):
             raise ValueError(f"point 'inC' must be true or false, got {in_c!r}")
         levels = _json_list(entry.get("cofinalLevels", []), "point 'cofinalLevels'")
-        points.append(PatternPoint(pos=parse_ordinal(pos), in_c=in_c,
+        points.append(PatternPoint(pos=_json_ordinal(pos, "point 'pos'"), in_c=in_c,
                                    cofinal_levels=frozenset(_json_int(x, "cofinal level")
                                                             for x in levels)))
     st = []
@@ -441,7 +442,8 @@ def pattern_from_dict(d: Mapping) -> StabilityPattern:
         if not (isinstance(rel, (list, tuple)) and len(rel) == 3):
             raise ValueError("each 'st' entry must be a list [position, position, degree]")
         a, b, deg = rel
-        st.append((parse_ordinal(a), parse_ordinal(b), _json_int(deg, "degree")))
+        st.append((_json_ordinal(a, "'st' position"), _json_ordinal(b, "'st' position"),
+                   _json_int(deg, "degree")))
     st.sort(key=lambda t: (t[0].terms, t[1].terms))
     return StabilityPattern(points=tuple(points), st=tuple(st))
 

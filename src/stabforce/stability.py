@@ -951,7 +951,7 @@ _LEVEL_KEY = re.compile(r"[1-9][0-9]*")
 
 def system_from_dict(d: Mapping) -> StabilitySystem:
     _json_object(d, "system", ("bound", "levels"))
-    bound = parse_ordinal(_json_field(d, "system", "bound"))
+    bound = _json_ordinal(_json_field(d, "system", "bound"), "system 'bound'")
     levels = d.get("levels", {})
     if not isinstance(levels, Mapping):
         raise ValueError("system 'levels' must be a JSON object")
@@ -961,7 +961,8 @@ def system_from_dict(d: Mapping) -> StabilitySystem:
             raise ValueError(f"level key {k_text!r} must be a decimal integer >= 1")
         if not isinstance(entries, Mapping):
             raise ValueError(f"level {k_text} must map keys to values in a JSON object")
-        exceptions[_nat(k_text)] = {parse_ordinal(g): parse_ordinal(v) for g, v in entries.items()}
+        exceptions[_nat(k_text)] = {parse_ordinal(g): _json_ordinal(v, f"level {k_text} value")
+                                    for g, v in entries.items()}
     return StabilitySystem(bound, exceptions)
 
 
@@ -1014,3 +1015,11 @@ def _json_int(value, what: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{what} must be an integer, got {value!r}")
     return value
+
+
+def _json_ordinal(value, what: str) -> Ordinal:
+    """The ordinal spelled by ``value``; the message names a value that is
+    not text by its type, never by the value itself."""
+    if not isinstance(value, str):
+        raise ValueError(f"{what} must be ordinal text, got {type(value).__name__}")
+    return parse_ordinal(value)

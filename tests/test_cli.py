@@ -7,9 +7,11 @@ import pytest
 
 from stabforce import StabilitySystem, cli, system_to_json
 from stabforce.cli import main
+from stabforce.ordinal import ONE, IntervalSet
 from stabforce.ordinal import parse_ordinal as O
 from stabforce.poset import chain_to_dict, ChainPresentation
 from stabforce.simulate import make_pattern, pattern_to_dict
+from stabforce.stability import CheckReport, ValidationReport, Violation
 
 
 @pytest.fixture
@@ -114,6 +116,44 @@ def test_selftest_prints_each_failure(capsys, monkeypatch):
     assert run_cli(capsys, "selftest") == (1, 'FAIL a\nFAIL b "é"\n', "")
     assert run_cli(capsys, "selftest", "--json") == (
         1, '{\n  "failures": [\n    "a",\n    "b \\"\\u00e9\\""\n  ],\n  "passed": false\n}\n', "")
+
+
+def _liars():
+    """A wrong stand-in for each name that ``selftest`` checks against the
+    oracle or the laws, with the failures it must report."""
+    real = {name: getattr(cli, name) for name in (
+        "is_k_limit", "pred_set", "lt_k", "validate", "check_tree_properties",
+        "check_predecessor_laws", "extends", "canonical_extend")}
+    lie = CheckReport("lie", (Violation("lie", 1, "0", "lie"),))
+    return {
+        "is_k_limit": (lambda p, k, a: not real["is_k_limit"](p, k, a),
+                       ["oracle is_k_limit mismatch (system 0, k=1, 0)"]),
+        "pred_set": (lambda p, k, a: real["pred_set"](p, k, a).union(IntervalSet.of((a, a + ONE))),
+                     ["oracle pred_set mismatch (system 0, k=1, 0)"]),
+        "lt_k": (lambda p, k, a, b: not real["lt_k"](p, k, a, b),
+                 ["oracle lt mismatch (system 0, k=1, 0, 0)"]),
+        "validate": (lambda p: ValidationReport(not real["validate"](p).valid, ()),
+                     ["oracle validate mismatch (system 0)"]),
+        "check_tree_properties": (lambda p, k, probe: lie,
+                                  ["tree property violation (system 0, k=1)"]),
+        "check_predecessor_laws": (lambda p, k: lie,
+                                   ["largest-predecessor violation (system 0, k=1)"]),
+        "extends": (lambda q, p, ell: False,
+                    ["extension transitivity failure (tower 0, ell=1)",
+                     "chain infimum does not extend member (chain 0)"]),
+        "canonical_extend": (lambda p, alpha: p, ["chain infimum mismatch (chain 0)"]),
+    }
+
+
+@pytest.mark.parametrize("name", list(_liars()))
+def test_selftest_reports_a_lying_callee(capsys, monkeypatch, name):
+    liar, expected = _liars()[name]
+    monkeypatch.setattr(cli, name, liar)
+    code, out, err = run_cli(capsys, "selftest", "--systems", "2")
+    lines = out.splitlines()
+    assert (code, err) == (1, "") and all(line.startswith("FAIL ") for line in lines)
+    for failure in expected:
+        assert f"FAIL {failure}" in lines
 
 
 def test_simulate(capsys, p3_file):
@@ -298,7 +338,8 @@ _REFUSALS = {
     "system-not-object": ("validate", _D([_S]), "system must be a JSON object"),
     "system-unknown": ("validate", _D({**_S, "top": "w"}), "unknown system fields: ['top']"),
     "system-missing-bound": ("validate", _D({"levels": {}}), "system is missing 'bound'"),
-    "system-bound-not-text": ("validate", _D({"bound": 5}), "expected text, got int"),
+    "system-bound-not-text": ("validate", _D({"bound": 5}),
+                              "system 'bound' must be ordinal text, got int"),
     "system-bound-noncanonical": ("validate", _D({"bound": "w+w"}),
                                   "'w+w': exponents must strictly decrease"),
     "system-levels-not-object": ("validate", _D({"bound": "w*3+1", "levels": ["w*2"]}),
@@ -308,7 +349,10 @@ _REFUSALS = {
     "system-level-not-object": ("validate", _D({"bound": "w*3+1", "levels": {"1": ["w*2"]}}),
                                 "level 1 must map keys to values in a JSON object"),
     "system-value-not-text": ("validate", _D({"bound": "w*3+1", "levels": {"1": {"w*2": 5}}}),
-                              "expected text, got int"),
+                              "level 1 value must be ordinal text, got int"),
+    "system-value-not-text-and-bound": (
+        "validate", _D({"bound": "w+w", "levels": {"2": {"w*2": ["5"]}}}),
+        "'w+w': exponents must strictly decrease"),
     "system-key-syntax": ("validate", _D({"bound": "w*3+1", "levels": {"1": {"2*w": "5"}}}),
                           "bad token '2*w'"),
     "system-unknown-and-missing": ("validate", _D({"top": "w", "levels": []}),
@@ -327,6 +371,8 @@ _REFUSALS = {
     "chain-missing-target": ("infimum", _D({"chain": [_S], "ell": 1}),
                              "chain is missing 'target'"),
     "chain-target-syntax": ("infimum", _D({"chain": [_S], "target": "w*w"}), "bad token 'w*w'"),
+    "chain-target-not-text": ("infimum", _D({"chain": [_S], "target": {"w": 5}}),
+                              "chain 'target' must be ordinal text, got dict"),
     "chain-bad-system": ("infimum", _D({"chain": [{"levels": {}}], "target": "w*5"}),
                          "system is missing 'bound'"),
     "chain-not-array-and-missing-target": ("infimum", _D({"chain": _S, "ell": 1}),
@@ -352,6 +398,11 @@ _REFUSALS = {
                        "degree must be an integer, got 1.5"),
     "pattern-st-position": ("simulate", _D({"points": [_P], "st": [["w*6", "w+w", 1]]}),
                             "'w+w': exponents must strictly decrease"),
+    "pattern-st-position-not-text": ("simulate", _D({"points": [_P], "st": [["w*6", 20, 1]]}),
+                                     "'st' position must be ordinal text, got int"),
+    "pattern-st-position-not-text-and-degree": (
+        "simulate", _D({"points": [_P], "st": [[None, "w*20", 1.5]]}),
+        "'st' position must be ordinal text, got NoneType"),
     "pattern-points-and-st": ("simulate", _D({"points": {}, "st": {}}),
                               "pattern 'points' must be a JSON list"),
     "pattern-position-and-degree": ("simulate", _D({"points": [_P], "st": [["w*6", "w+w", True]]}),
@@ -372,6 +423,11 @@ _REFUSALS = {
                             "cofinal level must be an integer, got True"),
     "point-pos-syntax": ("simulate", _D({"points": [{**_P, "pos": "w^1"}]}),
                          "'w^1': write plain 'w' / naturals, not w^1"),
+    "point-pos-not-text": ("simulate", _D({"points": [{**_P, "pos": 6.5}]}),
+                           "point 'pos' must be ordinal text, got float"),
+    "point-pos-not-text-and-level": (
+        "simulate", _D({"points": [{**_P, "pos": True, "cofinalLevels": [0.5]}]}),
+        "point 'pos' must be ordinal text, got bool"),
     "point-missing-pos-and-inC": ("simulate", _D({"points": [_P, {}]}),
                                   "pattern point 1 is missing 'pos'"),
     "point-unknown-and-missing": ("simulate", _D({"points": [{"inC": 1, "x": 0}]}),

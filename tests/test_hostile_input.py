@@ -100,6 +100,17 @@ def test_unexpected_exception_is_exit_3(tmp_path, monkeypatch):
     assert "Traceback" not in err
 
 
+def test_key_error_from_the_kernel_is_exit_3(tmp_path, monkeypatch):
+    """Every document field is read through a checked accessor, so a
+    KeyError is a bug, such as a missing memo row, and not bad input."""
+    def broken(p, k, beta):
+        raise KeyError(beta.terms)
+
+    monkeypatch.setattr(cli, "pred_set", broken)
+    code, out, err = run(tmp_path, ["preds", "--k", "1", "w*2"], json.dumps(SYSTEM))
+    assert (code, out, err) == (3, "", "internal error: KeyError: ((1, 2),)\n")
+
+
 @pytest.mark.parametrize("message", ["division by zero\nsecond line", "a\r\nb", "\ta  b\n",
                                      "\n\n"])
 def test_internal_error_message_is_one_line(tmp_path, monkeypatch, message):

@@ -1,3 +1,4 @@
+import operator
 import random
 
 import pytest
@@ -156,6 +157,37 @@ def test_interval_set_has_max_examples():
     assert not t.has_max()
     assert t.sup() == O("w*3")
     assert not t.member(O("w"))
+
+
+def test_max_element_of_a_set_without_a_maximum_is_refused():
+    with pytest.raises(EmptySetError, match="^interval set has no maximum$"):
+        IntervalSet.of((ZERO, OMEGA)).max_element()
+
+
+@pytest.mark.parametrize("low, high", [("w", "w"), ("w+1", "w")])
+def test_empty_interval_is_refused(low, high):
+    with pytest.raises(ValueError) as info:
+        OrdinalInterval(O(low), O(high))
+    assert str(info.value) == f"empty interval [{low}, {high})"
+
+
+def test_negative_integer_is_refused():
+    with pytest.raises(ValueError, match="^ordinals are non-negative$"):
+        Ordinal.from_int(-1)
+
+
+@pytest.mark.parametrize("op", [operator.lt, operator.le, operator.gt, operator.ge])
+def test_ordinal_does_not_compare_with_int(op):
+    """Each side returns NotImplemented, so Python raises TypeError."""
+    for a, b in ((O("w"), 1), (1, O("w"))):
+        with pytest.raises(TypeError, match="not supported"):
+            op(a, b)
+
+
+def test_ordinal_does_not_add_an_int():
+    for a, b in ((O("w"), 1), (1, O("w"))):
+        with pytest.raises(TypeError, match="unsupported operand"):
+            a + b
 
 
 def test_interval_set_normalization():

@@ -1,9 +1,11 @@
+import itertools
 import random
 
 import pytest
 
 from stabforce import (
     ChainPresentation,
+    DenseSet,
     PosetParams,
     StabilitySystem,
     canonical_extend,
@@ -32,7 +34,7 @@ from stabforce.gen import random_chain, random_step, random_system, random_tower
 from stabforce.ordinal import OMEGA, Ordinal
 from stabforce.ordinal import parse_ordinal as O
 from stabforce.poset import _require_valid, extend_with_top_exception
-from stabforce.stability import probe_points
+from stabforce.stability import lt_k, probe_points
 
 
 def test_poset_params_invariants():
@@ -50,6 +52,46 @@ def test_in_poset_examples(pstar):
     assert in_poset(pstar, PosetParams(O("w^3"), 1, O("7"))) is False
     assert in_poset(pstar, PosetParams(O("w*2"), 1, O("0"))) is False
     assert in_poset(pstar, PosetParams(O("w^3"), 1, O("w*3"))) is True  # gamma == top
+
+
+def _old_in_poset(p, params):
+    """``in_poset`` as three branches: the top below kappa, then gamma equal
+    to the top or below it in the level-ell order."""
+    top = p.top
+    if not top < params.kappa:
+        return False
+    if params.gamma == top:
+        return True
+    return params.gamma < top and lt_k(p, params.ell, params.gamma, top)
+
+
+def test_in_poset_matches_the_three_branch_rule():
+    """Also with gamma above the top, or at or above the bound, and with ell
+    above the depth."""
+    rng = random.Random(28)
+    checked = 0
+    for _ in range(40):
+        p = random_system(rng, max_steps=3)
+        gammas = probe_points(p, cap=12) + (p.bound, p.top + OMEGA)
+        kappas = [k for k in (p.top, p.top + OMEGA, O("w^30")) if k.is_limit]
+        for kappa, ell, gamma in itertools.product(kappas, range(1, p.depth + 2), gammas):
+            if gamma < kappa:
+                params = PosetParams(kappa, ell, gamma)
+                assert in_poset(p, params) == _old_in_poset(p, params), (p, params)
+                checked += 1
+    assert checked > 1000
+
+
+def test_extends_refuses_level_zero(pstar):
+    with pytest.raises(ValueError, match="^ell must be >= 1$"):
+        extends(pstar, pstar, 0)
+
+
+def test_a_lower_bound_never_extends(pstar):
+    """The taller system repeats every exception of pstar, so only the bound
+    test refuses, before the order test would ask about a point past pstar."""
+    taller = canonical_extend(pstar, O("w*5"))
+    assert extends(taller, pstar, 1) and not extends(pstar, taller, 1)
 
 
 def test_extends_examples(pstar, qstar):
@@ -81,6 +123,18 @@ def test_extend_to_chain_limit_examples(pstar, qstar):
     assert q.bound == O("w*2+1") and f_eval(q, 2, O("w*2")) == O("0")
     with pytest.raises(OutOfRangeError):
         extend_to_chain_limit(pstar, 1, O("w*4"))
+
+
+def test_chain_limit_refuses_level_zero(pstar):
+    with pytest.raises(ValueError, match="^ell must be >= 1$"):
+        extend_to_chain_limit(pstar, 0, O("5"))
+
+
+def test_chain_presentation_invariants(pstar):
+    with pytest.raises(ValueError, match="^chain must list at least one condition$"):
+        ChainPresentation(conditions=(), target=O("w*5"))
+    with pytest.raises(ValueError, match="^ell must be >= 1$"):
+        ChainPresentation(conditions=(pstar,), target=O("w*5"), ell=0)
 
 
 def test_chain_infimum_examples(pstar, qstar):
@@ -133,6 +187,14 @@ def test_meet_dense_examples(pstar):
 
     with pytest.raises(BudgetExhaustedError):
         meet_dense(pstar, [top_chain_limit(1, O("7"))], 8)
+
+
+def test_meet_dense_refuses_a_refinement_that_does_not_extend(pstar):
+    shorter = StabilitySystem(O("w+1"))
+    liar = DenseSet(name="liar", accepts=lambda p: p == shorter, refine=lambda p: shorter)
+    with pytest.raises(InvalidIntermediateError,
+                       match="^refinement for liar does not extend the current condition$"):
+        meet_dense(pstar, [liar], 4)
 
 
 def test_meet_dense_multiple(pstar):
@@ -264,8 +326,7 @@ def _reference_meet_dense(p, dense, budget):
         if spent >= budget:
             raise BudgetExhaustedError(
                 f"budget {budget} exhausted with unmet dense sets: "
-                + ", ".join(d.name for d in remaining),
-                trace=[s for _, s in trace])
+                + ", ".join(d.name for d in remaining))
         d = remaining[0]
         spent += 1
         try:

@@ -256,6 +256,28 @@ def test_check_requirements_detects_stray_zero_exception(pattern_p3):
     assert "R3" in [v.check for v in rep.violations]
 
 
+def test_check_requirements_reports_a_point_outside_the_pattern(pattern_p1):
+    r = run_construction(pattern_p1)
+    moved = dataclasses.replace(r.per_point[0], pos=O("w*5"))
+    rep = check_requirements(dataclasses.replace(r, per_point=(moved,)), pattern_p1)
+    assert [(v.check, v.level, v.subject, v.message) for v in rep.violations] == [
+        ("R2", 0, "w*5", "point not in the pattern")]
+
+
+@pytest.mark.parametrize("alpha", ["w*6", "1"])
+def test_check_requirements_reports_both_r4_clauses(pattern_p1, alpha):
+    """An alpha at or below the point is not above it in the level-1 order,
+    and neither w*6 (pinned at level 1) nor 1 is a level-1 limit."""
+    r = run_construction(pattern_p1)
+    o = r.per_point[0]
+    assert (o.pos, o.ell, o.alpha) == (O("w*6"), 1, O("w*7"))
+    moved = dataclasses.replace(o, alpha=O(alpha))
+    rep = check_requirements(dataclasses.replace(r, per_point=(moved,)), pattern_p1)
+    assert [(v.check, v.level, v.subject, v.message) for v in rep.violations] == [
+        ("R4", 1, "w*6", f"point not below {alpha} in its level order"),
+        ("R4", 2, "w*6", f"{alpha} not in the next level's domain")]
+
+
 def test_check_requirements_detects_trace_rewrite(pattern_p1):
     r = run_construction(pattern_p1)
     rewritten = StabilitySystem(r.g.bound, {1: {O("w*6"): O("1")}, 2: {O("w*7"): O("0")}})

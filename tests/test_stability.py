@@ -256,6 +256,18 @@ def test_negative_level_is_rejected(pstar):
     with pytest.raises(ValueError, match="^level must be >= 0$"):
         le_k(pstar, -1, O("1"), O("2"))
 
+def test_is_k_limit_refuses_level_zero_and_a_point_at_the_bound(pstar):
+    with pytest.raises(ValueError, match="^level must be >= 1$"):
+        is_k_limit(pstar, 0, O("w"))
+    with pytest.raises(OutOfBoundsError, match=r"^w\*3\+1 is not below the bound w\*3\+1$"):
+        is_k_limit(pstar, 1, pstar.bound)
+
+
+def test_bound_must_be_an_ordinal():
+    with pytest.raises(TypeError, match="^bound must be an Ordinal$"):
+        StabilitySystem(5)
+
+
 def test_level_zero_sets_are_not_cached():
     """``dom_f`` at level 1 and V4 at level 1 read level-0 sets, [0, b); they
     are built on the spot, never stored.  A point's row holds its sets at
