@@ -20,7 +20,13 @@ W3 = Ordinal(((3, 1),))
 MAX_LEVEL, MAX_EXCEPTIONS, MAX_STEP_LEVEL = 4, 6, 3  # random_system's, then random_step's
 
 
-def _sample_member(rng: random.Random, s, extra=()) -> Ordinal | None:
+def _sample_member(rng: random.Random, s, extra=()) -> Ordinal:
+    """A member of ``s``, drawn from its intervals' ends and ``extra``.
+
+    Every set sampled here is ``pred_set(q, k, b)`` with b > 0, or its cut from
+    0, and holds 0: 0 < b, and 0 <_k b at each level k >= 1 because no map
+    value lies below 0.  So there is always a candidate.
+    """
     candidates: list[Ordinal] = []
     for iv in s:
         candidates.append(iv.low)
@@ -32,8 +38,6 @@ def _sample_member(rng: random.Random, s, extra=()) -> Ordinal | None:
     for a in extra:
         if s.member(a):
             candidates.append(a)
-    if not candidates:
-        return None
     uniq = sorted(set(candidates), key=lambda a: a.terms)
     return uniq[rng.randrange(len(uniq))]
 
@@ -54,8 +58,6 @@ def random_system(rng: random.Random, *, max_steps: int = 5,
             base = canonical_extend(p, lam)
             value = _sample_member(rng, pred_set(base, level, lam),
                                    extra=[v for _, e in p.levels for _, v in e])
-            if value is None:
-                continue
             p = extend_with_top_exception(p, lam, level, value)
             placed += 1
         elif action < 0.85:
@@ -81,8 +83,6 @@ def random_step(rng: random.Random, p: StabilitySystem, *,
     base = canonical_extend(p, lam)
     reachable = pred_set(base, ell + 1, lam).cut(ZERO, p.top + Ordinal.from_int(1))
     target = _sample_member(rng, reachable)
-    if target is None:
-        return canonical_extend(p, lam), ALL_LEVELS_GUARANTEE
     return extend_to_chain_limit(p, ell, target), ell + 1
 
 

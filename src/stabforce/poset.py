@@ -27,6 +27,7 @@ from .stability import (
     _json_field,
     _json_object,
     _json_ordinal,
+    _json_typed,
     _le,
     disagreeing_levels,
     dom_f,
@@ -222,11 +223,8 @@ def chain_to_dict(chain: ChainPresentation) -> dict:
 
 def chain_from_dict(d: Mapping) -> ChainPresentation:
     _json_object(d, "chain", ("chain", "target", "ell"))
-    chain, ell = d.get("chain", []), d.get("ell", 1)
-    if not isinstance(chain, (list, tuple)):
-        raise ValueError("chain 'chain' must be a JSON array of systems")
-    if isinstance(ell, bool) or not isinstance(ell, int) or ell < 1:
-        raise ValueError(f"chain 'ell' must be an integer >= 1, got {ell!r}")
+    chain = _json_typed(d.get("chain", []), "chain 'chain'", list)
+    ell = _json_typed(d.get("ell", 1), "chain 'ell'", int)
     target = _json_field(d, "chain", "target")
     return ChainPresentation(conditions=tuple(system_from_dict(s) for s in chain),
                              target=_json_ordinal(target, "chain 'target'"), ell=ell)

@@ -26,10 +26,9 @@ from .stability import (
     Violation,
     _blocking_witness,
     _json_field,
-    _json_int,
-    _json_list,
     _json_object,
     _json_ordinal,
+    _json_typed,
     _pred,
     disagreeing_levels,
     dom_f,
@@ -427,23 +426,21 @@ def pattern_to_dict(pattern: StabilityPattern) -> dict:
 def pattern_from_dict(d: Mapping) -> StabilityPattern:
     _json_object(d, "pattern", ("points", "st"))
     points = []
-    for index, entry in enumerate(_json_list(d.get("points", []), "pattern 'points'")):
+    for index, entry in enumerate(_json_typed(d.get("points", []), "pattern 'points'", list)):
         _json_object(entry, "each pattern point", ("pos", "inC", "cofinalLevels"), "point")
         pos = _json_field(entry, f"pattern point {index}", "pos")
-        in_c = _json_field(entry, f"pattern point {index}", "inC")
-        if not isinstance(in_c, bool):
-            raise ValueError(f"point 'inC' must be true or false, got {in_c!r}")
-        levels = _json_list(entry.get("cofinalLevels", []), "point 'cofinalLevels'")
+        in_c = _json_typed(_json_field(entry, f"pattern point {index}", "inC"), "point 'inC'", bool)
+        levels = _json_typed(entry.get("cofinalLevels", []), "point 'cofinalLevels'", list)
         points.append(PatternPoint(pos=_json_ordinal(pos, "point 'pos'"), in_c=in_c,
-                                   cofinal_levels=frozenset(_json_int(x, "cofinal level")
+                                   cofinal_levels=frozenset(_json_typed(x, "cofinal level", int)
                                                             for x in levels)))
     st = []
-    for rel in _json_list(d.get("st", []), "pattern 'st'"):
+    for rel in _json_typed(d.get("st", []), "pattern 'st'", list):
         if not (isinstance(rel, (list, tuple)) and len(rel) == 3):
             raise ValueError("each 'st' entry must be a list [position, position, degree]")
         a, b, deg = rel
         st.append((_json_ordinal(a, "'st' position"), _json_ordinal(b, "'st' position"),
-                   _json_int(deg, "degree")))
+                   _json_typed(deg, "degree", int)))
     st.sort(key=lambda t: (t[0].terms, t[1].terms))
     return StabilityPattern(points=tuple(points), st=tuple(st))
 

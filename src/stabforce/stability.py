@@ -952,17 +952,14 @@ _LEVEL_KEY = re.compile(r"[1-9][0-9]*")
 def system_from_dict(d: Mapping) -> StabilitySystem:
     _json_object(d, "system", ("bound", "levels"))
     bound = _json_ordinal(_json_field(d, "system", "bound"), "system 'bound'")
-    levels = d.get("levels", {})
-    if not isinstance(levels, Mapping):
-        raise ValueError("system 'levels' must be a JSON object")
     exceptions: dict[int, dict[Ordinal, Ordinal]] = {}
-    for k_text, entries in levels.items():
+    for k_text, entries in _json_typed(d.get("levels", {}), "system 'levels'", Mapping).items():
         if not (isinstance(k_text, str) and _LEVEL_KEY.fullmatch(k_text)):
-            raise ValueError(f"level key {k_text!r} must be a decimal integer >= 1")
-        if not isinstance(entries, Mapping):
-            raise ValueError(f"level {k_text} must map keys to values in a JSON object")
-        exceptions[_nat(k_text)] = {parse_ordinal(g): _json_ordinal(v, f"level {k_text} value")
-                                    for g, v in entries.items()}
+            raise ValueError(f"level key {_brief(repr(k_text))} must be a decimal integer >= 1")
+        level = f"level {_brief(k_text)}"
+        label = f"{level} value"
+        exceptions[_nat(k_text)] = {parse_ordinal(g): _json_ordinal(v, label)
+                                    for g, v in _json_typed(entries, level, Mapping).items()}
     return StabilitySystem(bound, exceptions)
 
 
@@ -974,7 +971,7 @@ def _no_dupes(pairs):
     out = {}
     for key, value in pairs:
         if key in out:
-            raise ValueError(f"duplicate JSON key {key!r}")
+            raise ValueError(f"duplicate JSON key {_brief(repr(key))}")
         out[key] = value
     return out
 
@@ -988,14 +985,26 @@ def _read_json(text: str):
         raise ValueError("JSON nesting is too deep") from None
 
 
+# for each type a JSON field may have to be: the types that pass, and its name in a refusal
+_JSON_KINDS = {Mapping: (Mapping, "a JSON object"), list: ((list, tuple), "a JSON array"),
+               int: (int, "an integer"), bool: (bool, "true or false"), str: (str, "ordinal text")}
+
+
+def _json_typed(value, what: str, kind: type):
+    """``value`` if it is of ``kind``, a key of ``_JSON_KINDS``, where a bool
+    is no integer.  The refusal names ``value`` by its type, never by itself."""
+    types, name = _JSON_KINDS[kind]
+    if not isinstance(value, types) or (kind is int and isinstance(value, bool)):
+        raise ValueError(f"{what} must be {name}, got {type(value).__name__}")
+    return value
+
+
 def _json_object(value, what: str, fields: tuple[str, ...], kind: str | None = None) -> None:
     """Refuse ``value`` unless it is an object with no field outside
     ``fields``.  The messages call it ``what`` and its fields ``kind`` fields
     (``what`` fields by default)."""
-    if not isinstance(value, Mapping):
-        raise ValueError(f"{what} must be a JSON object")
-    if unknown := sorted(set(value).difference(fields)):
-        raise ValueError(f"unknown {kind or what} fields: {unknown}")
+    if unknown := sorted(set(_json_typed(value, what, Mapping)).difference(fields)):
+        raise ValueError(f"unknown {kind or what} fields: {_brief(str(unknown))}")
 
 
 def _json_field(d: Mapping, what: str, field: str):
@@ -1005,21 +1014,6 @@ def _json_field(d: Mapping, what: str, field: str):
     return d[field]
 
 
-def _json_list(value, what: str) -> list | tuple:
-    if not isinstance(value, (list, tuple)):
-        raise ValueError(f"{what} must be a JSON list")
-    return value
-
-
-def _json_int(value, what: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    return value
-
-
 def _json_ordinal(value, what: str) -> Ordinal:
-    """The ordinal spelled by ``value``; the message names a value that is
-    not text by its type, never by the value itself."""
-    if not isinstance(value, str):
-        raise ValueError(f"{what} must be ordinal text, got {type(value).__name__}")
-    return parse_ordinal(value)
+    """The ordinal spelled by ``value``, which must be text."""
+    return parse_ordinal(_json_typed(value, what, str))

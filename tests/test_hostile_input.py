@@ -78,6 +78,42 @@ def test_huge_integer_is_named_by_its_digit_count(tmp_path, doc):
     assert "5000 digits" in err and "sys" not in err
 
 
+LONG = "x" * 100_000
+POINT = PATTERN["points"][0]
+# a 100,000-character value at each place where a reader checks a field's
+# type, or quotes a level key, a field name or a duplicate key
+LONG_VALUES = {
+    "bound": ("validate", {"bound": LONG}),
+    "levels": ("validate", {**SYSTEM, "levels": LONG}),
+    "level map": ("validate", {**SYSTEM, "levels": {"1": LONG}}),
+    "level value": ("validate", {**SYSTEM, "levels": {"1": {"w*2": LONG}}}),
+    "level key": ("validate", {**SYSTEM, "levels": {LONG: {}}}),
+    "level key of digits": ("validate", {**SYSTEM, "levels": {"1" * 100_000: {"w*2": 5}}}),
+    "system field": ("validate", {**SYSTEM, LONG: 1}),
+    "duplicate key": ("validate", f'{{"bound": "w", "{LONG}": 1, "{LONG}": 2}}'),
+    "chain": ("infimum", {**CHAIN, "chain": LONG}),
+    "ell": ("infimum", {**CHAIN, "ell": LONG}),
+    "target": ("infimum", {**CHAIN, "target": LONG}),
+    "points": ("simulate", {**PATTERN, "points": LONG}),
+    "point": ("simulate", {**PATTERN, "points": [LONG]}),
+    "pos": ("simulate", {"points": [{**POINT, "pos": LONG}]}),
+    "inC": ("simulate", {"points": [{**POINT, "inC": LONG}]}),
+    "cofinalLevels": ("simulate", {"points": [{**POINT, "cofinalLevels": LONG}]}),
+    "cofinal level": ("simulate", {"points": [{**POINT, "cofinalLevels": [LONG]}]}),
+    "st": ("simulate", {**PATTERN, "st": LONG}),
+    "st position": ("simulate", {**PATTERN, "st": [["w*6", LONG, 2]]}),
+    "st degree": ("simulate", {**PATTERN, "st": [["w*6", "w*20", LONG]]}),
+}
+
+
+@pytest.mark.parametrize("position", sorted(LONG_VALUES))
+def test_long_value_in_a_file_is_refused_briefly(tmp_path, position):
+    command, doc = LONG_VALUES[position]
+    code, out, err = run(tmp_path, [command], doc if isinstance(doc, str) else json.dumps(doc))
+    assert_input_error(code, out, err)
+    assert_short_refusal(code, out, err)
+
+
 @pytest.mark.parametrize("text, message", [
     ("[" * 200_000, "JSON nesting is too deep"),
     ('{"bound": "w+1", "levels": {}, "bound": "w*2+1"}', "duplicate JSON key 'bound'"),

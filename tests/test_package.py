@@ -145,11 +145,17 @@ def test_terms_are_spelled_in_one_place():
 def test_json_documents_are_read_in_one_place():
     """Only ``stability.py`` parses JSON text or builds the refusals that the
     readers of systems, chains and patterns share (an unknown field, a
-    missing field), so one rule set refuses every document."""
+    missing field, a field of the wrong type), so one rule set refuses every
+    document.  ``parse_ordinal``'s own refusal of a value that is not text is
+    the one other type refusal, for its library callers."""
     package = pathlib.Path(stabforce.__file__).parent
     where = collections.defaultdict(set)
     for path in sorted(package.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        exempt = {id(node) for f in ast.walk(tree)
+                  if isinstance(f, ast.FunctionDef) and f.name == "parse_ordinal"
+                  for node in ast.walk(f)}
+        for node in ast.walk(tree):
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
                     and getattr(node.func.value, "id", None) == "json" \
                     and node.func.attr in ("load", "loads"):
@@ -162,5 +168,7 @@ def test_json_documents_are_read_in_one_place():
                     where["unknown field"].add(path.name)
                 if " is missing '" in node.value:
                     where["missing field"].add(path.name)
-    assert dict(where) == {what: {"stability.py"}
-                           for what in ("json.load", "unknown field", "missing field")}
+                if ", got " in node.value and id(node) not in exempt:
+                    where["type refusal"].add(path.name)
+    assert dict(where) == {what: {"stability.py"} for what in
+                           ("json.load", "unknown field", "missing field", "type refusal")}

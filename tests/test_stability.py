@@ -18,6 +18,7 @@ from stabforce import (
     lt_k,
     pred_set,
     probe_points,
+    stability,
     system_from_dict,
     system_from_json,
     system_to_dict,
@@ -167,6 +168,33 @@ def test_check_tree_properties_examples(pstar):
     corrupted = StabilitySystem(O("w*3+1"), {1: {O("w"): O("5"), O("w*2"): O("7")}})
     assert not validate(corrupted).valid
     assert check_tree_properties(corrupted, 1).passed
+
+
+# level -> the pairs (a, b), a != b, of 0, 1, 2 that a crafted a <=_level b holds
+_BROKEN_LAWS = {
+    "antisymmetry": {1: {(0, 1), (1, 0)}, 2: {(0, 1), (1, 0)}},
+    "transitivity": {1: {(0, 1), (1, 2)}, 2: set()},
+    "interpolation": {1: {(0, 1), (1, 2), (0, 2)}, 2: {(0, 2)}},
+}
+
+
+@pytest.mark.parametrize("law", sorted(_BROKEN_LAWS))
+def test_check_tree_properties_reports_a_broken_order_law(pstar, monkeypatch, law):
+    """Each law's report, reached through a crafted level order, since the
+    real orders satisfy every law."""
+    pairs = _BROKEN_LAWS[law]
+    pts = [O("0"), O("1"), O("2")]
+    monkeypatch.setattr(stability, "_le", lambda p, k, a, b:
+                        a == b or (pts.index(a), pts.index(b)) in pairs[k])
+    report = check_tree_properties(pstar, 1, pts)
+    assert report.violations and {v.check for v in report.violations} == {law}
+
+
+def test_check_tree_properties_reports_a_limit_end(pstar, monkeypatch):
+    monkeypatch.setattr(stability, "pred_set",
+                        lambda p, k, beta: IntervalSet.of((O("0"), O("w"))))
+    report = check_tree_properties(pstar, 1, [O("w*2")])
+    assert [(v.check, v.subject) for v in report.violations] == [("closure", "w*2")]
 
 
 def test_levels_refine(pstar, qstar):
