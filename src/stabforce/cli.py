@@ -187,8 +187,8 @@ def cmd_generic(args) -> int:
                              ell=args.ell if args.ell is not None else 1,
                              gamma=parse_ordinal(args.gamma or "0"))
         if not in_poset(p, params):
-            print(f"condition is not in P({params.kappa}, {params.ell}, "
-                  f"{params.gamma})", file=sys.stderr)
+            print(f"condition is not in P({_brief(format_ordinal(params.kappa))}, {params.ell}, "
+                  f"{_brief(format_ordinal(params.gamma))})", file=sys.stderr)
             return CHECK_FAILED
     q, trace = meet_dense(p, dense, args.budget)
     member = in_poset(q, params) if params is not None else None

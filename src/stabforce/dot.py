@@ -33,14 +33,8 @@ def _display_nodes(p: StabilitySystem, marks: Iterable[Ordinal]) -> list[Ordinal
             raise OutOfBoundsError(f"mark {_brief(format_ordinal(m))} is above the top "
                                    f"{_brief(format_ordinal(top))}")
         nodes.add(m)
-    if top < LIMITS_BELOW:
-        m = 1
-        while True:
-            lam = Ordinal(((1, m),))
-            if not lam <= top:
-                break
-            nodes.add(lam)
-            m += 1
+    if top < LIMITS_BELOW:  # top is w*c + n or n, so its limits are w*1 .. w*c
+        nodes.update(Ordinal(((1, m),)) for m in range(1, dict(top.terms).get(1, 0) + 1))
     return sorted(nodes, key=lambda a: a.terms)
 
 

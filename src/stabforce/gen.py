@@ -97,9 +97,7 @@ def random_tower(rng: random.Random, *, small: bool = False):
 
 def random_chain(rng: random.Random, *, small: bool = False):
     """An eventually-canonical descending chain presentation at level 1."""
-    p = random_system(rng, max_steps=3, small=small)
-    q, _ = random_step(rng, p, small=small)
-    r, _ = random_step(rng, q, small=small)
+    p, q, r, _ = random_tower(rng, small=small)
     target = r.top + (OMEGA if rng.random() < 0.7 else Ordinal(((1, 2),)))
     return (p, q, r), target
 
@@ -108,18 +106,16 @@ def mutate_system(rng: random.Random, p: StabilitySystem) -> StabilitySystem:
     """Break one structural property at random (for validator differentials)."""
     choice = rng.randrange(3)
     keys = [(k, g, v) for k, entries in p.levels for g, v in entries]
-    if choice == 0 and keys:
+    if choice < 2 and keys:
         k, g, v = keys[rng.randrange(len(keys))]
         d = p._as_dict()
-        d[k][g] = g + Ordinal.from_int(rng.randrange(1, 3))  # value above key
-        return StabilitySystem(p.bound, d)
-    if choice == 1 and keys:
-        k, g, v = keys[rng.randrange(len(keys))]
-        d = p._as_dict()
-        del d[k][g]
-        moved = g + Ordinal.from_int(1)  # successor position: outside every domain
-        if moved < p.bound and moved not in d[k]:
-            d[k][moved] = v
+        if choice == 0:
+            d[k][g] = g + Ordinal.from_int(rng.randrange(1, 3))  # value above key
+        else:
+            del d[k][g]
+            moved = g + Ordinal.from_int(1)  # successor position: outside every domain
+            if moved < p.bound and moved not in d[k]:
+                d[k][moved] = v
         return StabilitySystem(p.bound, d)
     if p.top.is_limit:
         levels = {}

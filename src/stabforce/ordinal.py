@@ -203,9 +203,7 @@ def _brief(text: str) -> str:
 def _parse_term(tok: str) -> tuple[int, int]:
     if not tok:
         raise OrdinalSyntaxError("empty term")
-    if tok[0] != "w":
-        if not _NAT_RE.fullmatch(tok):
-            raise OrdinalSyntaxError(f"bad token {_brief(tok)!r}")
+    if _NAT_RE.fullmatch(tok):
         return (0, _nat(tok))
     m = _TERM_RE.fullmatch(tok)
     if not m:

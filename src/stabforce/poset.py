@@ -93,7 +93,8 @@ def canonical_extend(p: StabilitySystem, alpha: Ordinal) -> StabilitySystem:
     """
     _require_valid(p)
     if not alpha >= p.top:
-        raise OutOfRangeError(f"target {alpha} is below the current top {p.top}")
+        raise OutOfRangeError(f"target {_brief(format_ordinal(alpha))} is below the current "
+                              f"top {_brief(format_ordinal(p.top))}")
     if alpha == p.top:
         return p
     return p.with_bound(alpha + Ordinal.from_int(1))
@@ -119,13 +120,15 @@ def extend_with_top_exception(p: StabilitySystem, alpha: Ordinal, level: int,
     """
     _require_valid(p)
     if not alpha > p.top:
-        raise OutOfRangeError(f"new top {alpha} must be strictly above {p.top}")
+        raise OutOfRangeError(f"new top {_brief(format_ordinal(alpha))} must be strictly "
+                              f"above {_brief(format_ordinal(p.top))}")
     if not alpha.is_limit:
-        raise OutOfRangeError(f"new top {alpha} must be a limit ordinal")
+        raise OutOfRangeError(f"new top {_brief(format_ordinal(alpha))} must be a limit ordinal")
     q = p._with_top_exception(level, alpha, value)
     if not le_k(q, level, value, alpha):
         raise TargetNotReachableError(
-            f"{value} does not sit below {alpha} in the level-{level} order")
+            f"{_brief(format_ordinal(value))} does not sit below "
+            f"{_brief(format_ordinal(alpha))} in the level-{level} order")
     report = validate(q)
     if not report.valid:
         raise InvalidIntermediateError(
@@ -150,7 +153,8 @@ def extend_to_chain_limit(p: StabilitySystem, ell: int, target: Ordinal) -> Stab
         raise ValueError("ell must be >= 1")
     _require_valid(p)
     if not target <= p.top:
-        raise OutOfRangeError(f"target {target} must be at most the top {p.top}")
+        raise OutOfRangeError(f"target {_brief(format_ordinal(target))} must be at most the "
+                              f"top {_brief(format_ordinal(p.top))}")
     lam = p.top + OMEGA
     return extend_with_top_exception(p, lam, ell + 1, target)
 
@@ -192,13 +196,15 @@ def chain_infimum(chain: ChainPresentation) -> StabilitySystem:
     for prev, nxt in zip(conds, conds[1:]):
         if not extends(nxt, prev, chain.ell):
             raise NotDescendingError(
-                f"condition with top {nxt.top} does not extend the one with top {prev.top}")
+                f"condition with top {_brief(format_ordinal(nxt.top))} does not extend the "
+                f"one with top {_brief(format_ordinal(prev.top))}")
     last = conds[-1]
     lam = chain.target
     if not lam.is_limit:
-        raise BadTargetError(f"target {lam} must be a limit ordinal")
+        raise BadTargetError(f"target {_brief(format_ordinal(lam))} must be a limit ordinal")
     if lam < last.top:
-        raise BadTargetError(f"target {lam} is below the last condition's top {last.top}")
+        raise BadTargetError(f"target {_brief(format_ordinal(lam))} is below the last "
+                             f"condition's top {_brief(format_ordinal(last.top))}")
     if lam == last.top and len(conds) < 2:
         raise BadTargetError("target equals the only condition's top")
     return canonical_extend(last, lam)
@@ -302,7 +308,7 @@ def meet_dense(p: StabilitySystem, dense: Sequence[DenseSet],
         if spent >= budget:
             raise BudgetExhaustedError(
                 f"budget {budget} exhausted with unmet dense sets: "
-                + ", ".join(d.name for d in remaining))
+                + ", ".join(_brief(d.name) for d in remaining))
         d = remaining[0]
         spent += 1
         try:
@@ -315,7 +321,7 @@ def meet_dense(p: StabilitySystem, dense: Sequence[DenseSet],
         elif candidate != current:
             if not extends(candidate, current, 1):
                 raise InvalidIntermediateError(
-                    f"refinement for {d.name} does not extend the current condition")
+                    f"refinement for {_brief(d.name)} does not extend the current condition")
             current = candidate
             trace.append((d.name, current))
     return current, tuple(trace)

@@ -146,8 +146,8 @@ def _check_axioms(pattern: StabilityPattern) -> CheckReport:
                     "A2", k_max, f"({i}, {jp}, {j})",
                     f"coherence forces degree >= {k_max + 1} on ({i}, {jp})"))
     for pt in pts:
-        closure = set(range(1, len(pt.cofinal_levels) + 1))
-        if set(pt.cofinal_levels) != closure and pt.cofinal_levels:
+        # a finite flag set F is {1..|F|} exactly when its least unflagged level exceeds |F|
+        if _least_unflagged(pt) <= len(pt.cofinal_levels):
             violations.append(Violation("A3", 0, format_ordinal(pt.pos),
                                         "cofinal levels must be downward closed"))
     for i, j, d in pattern.st:

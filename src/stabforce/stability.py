@@ -92,8 +92,7 @@ class StabilitySystem:
     costs only its new key.
     """
 
-    __slots__ = ("bound", "levels", "_ks", "_top", "_memo", "_compiled", "_report",
-                 "_base", "__weakref__")
+    __slots__ = ("bound", "levels", "_ks", "_top", "_memo", "_compiled", "_report", "_base")
 
     def __init__(self, bound: Ordinal, exceptions: Mapping[int, Mapping[Ordinal, Ordinal]] | None = None):
         if not isinstance(bound, Ordinal):

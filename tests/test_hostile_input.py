@@ -445,3 +445,36 @@ def test_lone_double_dash_option_value_is_missing(tmp_path, option):
     code, out, err = run_args(tmp_path, [*head[option], f"{option}=--", *tail])
     assert_short_refusal(code, out, err)
     assert f"argument {option}: expected one argument" in err
+
+
+N4000 = "9" * 4000
+# a valid ordinal of about 4,000 characters at each place where a refusal or a
+# failed check names an ordinal or a dense set: (argv before the file, file,
+# exit code)
+LONG_ORDINALS = {
+    "extend --to below the top": (["extend", f"--to=w*2+{N4000}"], SYSTEM, 2),
+    "extend --target above the top":
+        (["extend", "--chain-limit", "1", f"--target=w*3+{N4000}"], SYSTEM, 2),
+    "extend --target unreachable":
+        (["extend", "--chain-limit", "1", f"--target=w+{N4000}"], SYSTEM, 1),
+    "infimum target below the top":
+        (["infimum"], {"chain": [{"bound": "w^2+1", "levels": {}}], "target": f"w*{N4000}"}, 2),
+    "infimum target no limit": (["infimum"], {"chain": [SYSTEM], "target": f"w*3+{N4000}"}, 2),
+    "infimum not descending":
+        (["infimum"], {"chain": [{**SYSTEM, "bound": f"w*3+{N4000}"}, SYSTEM], "target": "w*5"},
+         1),
+    "generic --gamma": (["generic", "--kappa", "w^2", f"--gamma=w+{N4000}"], SYSTEM, 1),
+    "generic taller_than":
+        (["generic", "--budget", "0", "--dense", f"taller_than:w*3+{N4000}"], SYSTEM, 1),
+    "generic top_chain_limit":
+        (["generic", "--budget", "0", "--dense", f"top_chain_limit:1:w+{N4000}"], SYSTEM, 1),
+}
+
+
+@pytest.mark.parametrize("position", sorted(LONG_ORDINALS))
+def test_long_ordinal_in_a_message_is_named_briefly(tmp_path, position):
+    argv, doc, expect = LONG_ORDINALS[position]
+    code, out, err = run(tmp_path, argv, json.dumps(doc))
+    assert (code, out) == (expect, ""), err[:300]
+    assert err.count("\n") == 1 and len(err.encode()) < 300, err[:300]
+    assert "characters)" in err, err
