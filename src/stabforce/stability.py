@@ -30,9 +30,9 @@ number costs nothing: a query at level k reads the row at the deepest key
 level at or below k.  Each level's keys are compiled once, in ascending
 order; a binding key's row is stored (None for one that binds nothing) and
 shared by every system linked to the compiling one.  A query adopts a
-binding key's row (only a limit can hold one) or takes one bisection and
-step per key level, except that a successor a + 1 of zero or a limit reads
-each set off a's, as ``P_j(a) u [a, a + 1)`` (proofs in ``_pred``).
+binding key's row (only a limit can hold one) or takes one step per key
+level, except that a successor a + 1 of zero or a limit reads each set off
+a's, as ``P_j(a) u [a, a + 1)`` (proofs in ``_pred``).
 """
 
 from __future__ import annotations
@@ -422,11 +422,17 @@ def _pred(p: StabilitySystem, k: int, beta: Ordinal) -> IntervalSet:
     recurrence; its cost grows with the keys, never with a level number.
     Whether a key g binds (is a level-j domain point valued below itself)
     depends on g alone, and a binding g < b is in ``C_j(b)`` iff it is in
-    ``P_{j-1}(b)``.  So g* is the first such key below b, walking down, and
-    ``_step`` is the recurrence.  ``_compiled`` takes that step once per
-    key, in ascending order, stores the key's ``P_j`` in its row at j, and
-    stores the row in the level's array if the key binds, else None: a key
-    that binds nothing caps at itself, as a point that is no key does, so
+    ``P_{j-1}(b)``.  So g* is the largest binding key in ``P_{j-1}(b)``,
+    and ``_step`` is the recurrence.  It finds g* by visiting the intervals
+    of ``P_{j-1}(b)`` from the top and bisecting the level's keys once in
+    each.  A key in a gap of that set is never read, nor is one at or above
+    b: the set lies in [0, b), so a bound at b's place among the keys is
+    implied.  As every key of a valid system binds (see below), a step there
+    costs one bisection per interval of ``P_{j-1}(b)`` down to g*'s, however
+    many keys lie below b.  ``_compiled`` takes that step once per key, in
+    ascending order, stores the key's ``P_j`` in its row at j, and stores
+    the row in the level's array if the key binds, else None: a key that
+    binds nothing caps at itself, as a point that is no key does, so
     only a binding key's cap, v + 1, needs the stored row.  In a valid
     system every key binds (V2 puts it in the domain, and V3 makes v < g,
     identity values not being stored), so None appears only in invalid
@@ -523,7 +529,7 @@ def _grow(p: StabilitySystem, r: int, t: tuple, row: dict | None) -> IntervalSet
     below = None
     for j, (_, terms, rows, _) in islice(levels.items(), r):
         if (s := row.get(j)) is None:
-            s = row[j] = _step(terms, rows, j, bisect_left(terms, t),
+            s = row[j] = _step(terms, rows, j, len(terms),
                                _segment(t) if below is None else below, t)
         below = s
     return below
@@ -576,10 +582,10 @@ def _compiled(p: StabilitySystem) -> dict:
             terms, rows = (old[1][:], old[2][:]) if old else ([], [])
             found = list(old[3]) if old else []
             for g, v in entries[n:]:
+                # in the memo before _pred runs, so that _grow skips the stored-row
+                # search, which finds nothing for a key still being compiled
+                row = memo.setdefault(g.terms, {})
                 below = _pred(node, j - 1, g)
-                row = memo.get(g.terms)
-                if row is None:  # a key at the lowest key level: level 0 is not memoized
-                    row = memo[g.terms] = {}
                 highs = below.highs
                 dom = bool(highs) and highs[-1][-1][0] >= 1
                 bind = dom and v.terms < g.terms
@@ -624,33 +630,50 @@ def _blocking_witness(g: StabilitySystem, k: int, alpha: Ordinal,
     One always exists: by the definition of the order, such an alpha has a
     level-k key in (alpha, b] valued below alpha that constrains b.  As b is
     above every key, that is: the key has a stored row and is in ``below``.
+    The scan starts at the first key above alpha, found by one bisection.
     """
     entries, terms, rows, _ = _compiled(g)[k]
     t = alpha.terms
-    return next((k, key, value) for (key, value), g_t, row in zip(entries, terms, rows)
-                if row is not None and t < g_t and value.terms < t and below.member(key))
+    i = bisect_right(terms, t)
+    return next((k, key, value) for (key, value), row in zip(entries[i:], rows[i:])
+                if row is not None and value.terms < t and below.member(key))
 
 
 def _step(terms: list[tuple], rows: list[dict[int, IntervalSet] | None], j: int, i: int,
           below: IntervalSet, c: tuple) -> IntervalSet:
-    """P_j(b) by ``_pred``'s recurrence, for a point b above the first i keys
-    of level j, whose CNF terms are ``terms``, from ``below`` = P_{j-1}(b)
-    and the CNF terms c of b's cap: v_b + 1 when b binds, else b.  g* is the
-    first key in ``below`` with a stored row, walking down; each membership
-    test is one bisection of ``below``'s low ends.  The result is
-    ``P_j(g*)``, read from g*'s row at j, cut at the cap when the cap cuts
-    into it, else ``P_j(g*)`` followed by ``below`` cut to [g*, cap); with
-    no g*, ``below`` itself when the cap cuts nothing, else ``below`` cut at
-    it."""
+    """P_j(b) by ``_pred``'s recurrence, for a point b, from the CNF terms
+    ``terms`` of level j's keys, of which the first i are searched, their
+    ``rows``, ``below`` = P_{j-1}(b) and the CNF terms c of b's cap: v_b + 1
+    when b binds, else b.
+
+    g* is the largest key in ``below`` with a stored row.  The intervals of
+    ``below`` are visited from the top.  Each bisects the keys once for the
+    largest one under its high end, then steps down past keys without a row
+    while they stay in the interval.  A key in a gap of ``below`` is never
+    read.  Nor is a key at or above b: ``below`` lies in [0, b), so bounding
+    the search by b's place among the keys adds nothing, and callers pass
+    i = len(terms).  Every key of a valid system has a row, so there a step
+    costs one bisection per interval of ``below`` from the top down to g*'s.
+
+    The result is ``P_j(g*)``, read from g*'s row at j, cut at the cap when
+    the cap cuts into it or leaves nothing of ``below`` above g*; else
+    ``P_j(g*)`` followed by ``below`` cut to [g*, cap), whose ends are read
+    straight off ``below``'s.  With no g*, it is ``below`` itself when the
+    cap cuts nothing, else ``below`` cut at it.
+    """
     lows, highs = below.lows, below.highs
-    for i in range(i - 1, -1, -1):
-        g = terms[i]
-        if rows[i] is not None and (x := bisect_right(lows, g)) and g < highs[x - 1]:
-            head = rows[i][j]
-            if head.highs and c < head.highs[-1]:
-                return IntervalSet._ends(*_cut(head.lows, head.highs, (), c))
-            lows, highs = _cut(lows, highs, g, c)
-            return IntervalSet._ends(head.lows + lows, head.highs + highs)
+    for x in range(len(lows) - 1, -1, -1):
+        lo = lows[x]
+        i = bisect_left(terms, highs[x], 0, i)
+        while i and lo <= (g := terms[i - 1]):
+            i -= 1
+            if rows[i] is not None:
+                head = rows[i][j]
+                if not g < c or head.highs and c < head.highs[-1]:
+                    return IntervalSet._ends(*_cut(head.lows, head.highs, (), c))
+                y = bisect_left(lows, c, x + 1)  # below's intervals that start under c
+                return IntervalSet._ends(head.lows + (g,) + lows[x + 1:y], head.highs
+                                         + highs[x:y - 1] + (min(highs[y - 1], c),))
     if not highs or highs[-1] <= c:
         return below
     return IntervalSet._ends(*_cut(lows, highs, (), c))
