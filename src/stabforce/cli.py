@@ -303,8 +303,6 @@ def _selftest_failures(seed: int, systems: int) -> list[str]:
         (p, q, r), target = random_chain(rng)
         chain = ChainPresentation(conditions=(p, q, r), target=target)
         inf = chain_infimum(chain)
-        if inf != canonical_extend(r, target):
-            failures.append(f"chain infimum mismatch (chain {i})")
         for cond in (p, q, r):
             if not extends(inf, cond, 1):
                 failures.append(f"chain infimum does not extend member (chain {i})")

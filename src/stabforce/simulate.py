@@ -112,12 +112,10 @@ def _check_axioms(pattern: StabilityPattern) -> CheckReport:
                 violations.append(Violation("A3", lvl, format_ordinal(pt.pos),
                                             "cofinal levels must be >= 1"))
     for a, b in zip(pts, pts[1:]):
-        t, u = a.pos.terms, b.pos.terms
-        if not t < u:
+        if not a.pos.terms < b.pos.terms:
             violations.append(Violation("A1", 0, format_ordinal(b.pos),
                                         "positions must strictly increase"))
-        # a + w*2 keeps a's terms above w and adds 2 to its coefficient of w
-        elif (*[x for x in t if x[0] > 1], (1, next((c for e, c in t if e == 1), 0) + 2)) > u:
+        elif a.pos + OMEGA + OMEGA > b.pos:
             violations.append(Violation("A1", 0, format_ordinal(b.pos),
                                         f"gap below {a.pos} is smaller than w*2"))
     declared: set[tuple[Terms, Terms]] = set()

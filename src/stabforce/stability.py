@@ -31,8 +31,8 @@ level at or below k.  Each level's keys are compiled once, in ascending
 order; a binding key's row is stored (None for one that binds nothing) and
 shared by every system linked to the compiling one.  A query adopts a
 binding key's row (only a limit can hold one) or takes one step per key
-level, except that a successor a + 1 of zero or a limit reads each set off
-a's, as ``P_j(a) u [a, a + 1)`` (proofs in ``_pred``).
+level, except that a successor b = a + n of a zero or limit a reads each set
+off a's, as ``P_j(a) u [a, b)`` (proofs in ``_pred``).
 """
 
 from __future__ import annotations
@@ -444,14 +444,15 @@ def _pred(p: StabilitySystem, k: int, beta: Ordinal) -> IntervalSet:
     same keys at or below it, see Sharing), so each level a row is filled at
     caps the point at itself.
 
-    Successors.  Let b = a + 1 with a zero or a limit.  Then at every level
-    j, ``P_j(b) = P_j(a) u [a, b)``.  Indeed a <_j a + 1 (see above), and
-    for x < a, (T) gives x <_j a + 1 from x <_j a, and (L) gives x <_j a
-    from x <_j a + 1 and a <_j a + 1.  So ``_grow`` fills b's row at each
-    key level from a's, growing a's row first where it lacks the level: one
-    append, or a wider top interval when ``P_j(a)`` ends at a.  No walk and
-    no cut are needed.  Any other successor, such as w*5+2, takes the
-    general step, so a coefficient never sets how deep the growth nests.
+    Successors.  Let b = a + n with a zero or a limit and n >= 1.  Then at
+    every level j, ``P_j(b) = P_j(a) u [a, b)``, by induction on n: for
+    d = a + n - 1, d <_j d + 1 (see above), and for x < d, (T) gives
+    x <_j d + 1 from x <_j d, and (L) gives x <_j d from x <_j d + 1 and
+    d <_j d + 1, so ``P_j(d + 1) = P_j(d) u {d}``.  So ``_grow`` fills b's
+    row at each key level from a's, growing a's row first where it lacks the
+    level: one append, or a wider top interval when ``P_j(a)`` ends at a.
+    No walk and no cut are needed, and as a is no successor, the growth
+    nests one level deep whatever the coefficient n.
     The rule runs only after p's compile pass has finished: during the pass
     a linked system's old keys, whose stored rows sit at levels not yet
     compiled, would get fresh rows that never adopt the stored one.
@@ -477,7 +478,7 @@ def _pred(p: StabilitySystem, k: int, beta: Ordinal) -> IntervalSet:
 
     Nothing recurses beyond one level: the compile pass asks ``_pred`` only
     for a lower level, and ``_pred`` only loops, except that growing a
-    successor a + 1 may grow a, which is no successor and so takes the
+    successor a + n may grow a, which is no successor and so takes the
     loop.  The stack never grows with the number of keys, a chain or a
     level.
     """
@@ -499,9 +500,9 @@ def _grow(p: StabilitySystem, r: int, t: tuple, row: dict | None) -> IntervalSet
     after it, as the pass puts a row there for each key it compiles.  A b
     with no row yet (its first query) adopts, if it is a limit, the row
     stored at its highest binding key level, if any, else starts an empty
-    one.  Once p's compile pass has finished, a b = a + 1 with a zero or a
-    limit reads each set off a's, growing a's row first; any other b takes
-    ``_step`` per level (see ``_pred``)."""
+    one.  Once p's compile pass has finished, a successor b = a + n with a
+    zero or a limit reads each set off a's, growing a's row first; any other
+    b takes ``_step`` per level (see ``_pred``)."""
     if (levels := p._compiled) is None:
         levels, row = _compiled(p), p._memo.get(t)
     if row is None:
@@ -513,7 +514,7 @@ def _grow(p: StabilitySystem, r: int, t: tuple, row: dict | None) -> IntervalSet
                     row = rows[i]
                     break
         p._memo[t] = row
-    if t and t[-1] == (0, 1) and p._report is not None:  # t = a + 1, a zero or a limit
+    if t and not t[-1][0] and p._report is not None:  # t = a + n, a zero or a limit
         a = t[:-1]
         before = p._memo.get(a)
         for j in islice(levels, r):
@@ -529,8 +530,7 @@ def _grow(p: StabilitySystem, r: int, t: tuple, row: dict | None) -> IntervalSet
     below = None
     for j, (_, terms, rows, _) in islice(levels.items(), r):
         if (s := row.get(j)) is None:
-            s = row[j] = _step(terms, rows, j, len(terms),
-                               _segment(t) if below is None else below, t)
+            s = row[j] = _step(terms, rows, j, _segment(t) if below is None else below, t)
         below = s
     return below
 
@@ -589,8 +589,7 @@ def _compiled(p: StabilitySystem) -> dict:
                 highs = below.highs
                 dom = bool(highs) and highs[-1][-1][0] >= 1
                 bind = dom and v.terms < g.terms
-                own = row[j] = _step(terms, rows, j, len(terms), below,
-                                     _succ(v.terms) if bind else g.terms)
+                own = row[j] = _step(terms, rows, j, below, _succ(v.terms) if bind else g.terms)
                 terms.append(g.terms)
                 rows.append(row if bind else None)
                 at_lim2 = bind and g.is_lim2 and highs[-1] == g.terms
@@ -639,20 +638,19 @@ def _blocking_witness(g: StabilitySystem, k: int, alpha: Ordinal,
                 if row is not None and value.terms < t and below.member(key))
 
 
-def _step(terms: list[tuple], rows: list[dict[int, IntervalSet] | None], j: int, i: int,
+def _step(terms: list[tuple], rows: list[dict[int, IntervalSet] | None], j: int,
           below: IntervalSet, c: tuple) -> IntervalSet:
     """P_j(b) by ``_pred``'s recurrence, for a point b, from the CNF terms
-    ``terms`` of level j's keys, of which the first i are searched, their
-    ``rows``, ``below`` = P_{j-1}(b) and the CNF terms c of b's cap: v_b + 1
-    when b binds, else b.
+    ``terms`` of level j's keys, their ``rows``, ``below`` = P_{j-1}(b) and
+    the CNF terms c of b's cap: v_b + 1 when b binds, else b.
 
     g* is the largest key in ``below`` with a stored row.  The intervals of
     ``below`` are visited from the top.  Each bisects the keys once for the
     largest one under its high end, then steps down past keys without a row
     while they stay in the interval.  A key in a gap of ``below`` is never
-    read.  Nor is a key at or above b: ``below`` lies in [0, b), so bounding
-    the search by b's place among the keys adds nothing, and callers pass
-    i = len(terms).  Every key of a valid system has a row, so there a step
+    read.  Nor is a key at or above b: ``below`` lies in [0, b), so the
+    search starts from all the keys, as bounding it by b's place among them
+    adds nothing.  Every key of a valid system has a row, so there a step
     costs one bisection per interval of ``below`` from the top down to g*'s.
 
     The result is ``P_j(g*)``, read from g*'s row at j, cut at the cap when
@@ -662,6 +660,7 @@ def _step(terms: list[tuple], rows: list[dict[int, IntervalSet] | None], j: int,
     cap cuts nothing, else ``below`` cut at it.
     """
     lows, highs = below.lows, below.highs
+    i = len(terms)
     for x in range(len(lows) - 1, -1, -1):
         lo = lows[x]
         i = bisect_left(terms, highs[x], 0, i)
@@ -798,7 +797,7 @@ def check_tree_properties(p: StabilitySystem, k: int,
       v_{g*} + 1 < g*, as g* binds and its own step capped it there, so it is
       a successor.  The two pieces never touch (see ``_pred``), so their
       union merges no interval and keeps these ends.  A successor
-      b = a + 1 read off a (see ``_pred``) has ``P_j(a) u [a, b)``: the
+      b = a + n read off a (see ``_pred``) has ``P_j(a) u [a, b)``: the
       ends of ``P_j(a)`` are a or successors by induction, and an end at a
       becomes b.
     """

@@ -123,7 +123,7 @@ def _liars():
     oracle or the laws, with the failures it must report."""
     real = {name: getattr(cli, name) for name in (
         "is_k_limit", "pred_set", "lt_k", "validate", "check_tree_properties",
-        "check_predecessor_laws", "extends", "canonical_extend")}
+        "check_predecessor_laws", "extends")}
     lie = CheckReport("lie", (Violation("lie", 1, "0", "lie"),))
     return {
         "is_k_limit": (lambda p, k, a: not real["is_k_limit"](p, k, a),
@@ -141,7 +141,6 @@ def _liars():
         "extends": (lambda q, p, ell: False,
                     ["extension transitivity failure (tower 0, ell=1)",
                      "chain infimum does not extend member (chain 0)"]),
-        "canonical_extend": (lambda p, alpha: p, ["chain infimum mismatch (chain 0)"]),
     }
 
 

@@ -60,3 +60,25 @@ def test_mutate_system_draws_as_before():
         old, new = random.Random(seed), random.Random(seed)
         assert mutate_system(new, p) == reference_mutate_system(old, p), seed
         assert new.getstate() == old.getstate(), seed
+
+
+class Scripted:
+    """An rng that returns scripted ``randrange`` and ``random`` draws in order."""
+
+    def __init__(self, ranges, floats):
+        self.ranges, self.floats = iter(ranges), iter(floats)
+
+    def randrange(self, *args):
+        return next(self.ranges)
+
+    def random(self):
+        return next(self.floats)
+
+
+def test_random_system_stops_at_its_cap():
+    # bound 1, five steps: four w^3 jumps reach the cap w^3*4, and the fifth
+    # step's fresh limit w^3*4+w lies above it
+    rng = Scripted([1, 5], [0.9] * 5)
+    p = random_system(rng)
+    assert p == StabilitySystem(Ordinal(((3, 4), (0, 1))))
+    assert next(rng.floats, None) is None and next(rng.ranges, None) is None

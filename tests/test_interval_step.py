@@ -2,7 +2,7 @@
 against copies of the walks they replaced.
 
 ``walking_step`` is ``stability._step`` as it was: it walks down every key
-below the bound it is given, one membership test in ``below`` each, until one
+from the top, one membership test in ``below`` each, until one
 with a stored row lies in ``below``.  ``_step`` now bisects the keys once per
 interval of ``below`` and steps down only past row-less keys inside an
 interval.  Each system is built and queried twice, once with the walk
@@ -31,10 +31,10 @@ from test_terms_comparisons import constructions
 SKIPS = []  # one entry per walking step that passed a row-less key inside ``below``
 
 
-def walking_step(terms, rows, j, i, below, c):
+def walking_step(terms, rows, j, below, c):
     lows, highs = below.lows, below.highs
     skipped = False
-    for i in range(i - 1, -1, -1):
+    for i in range(len(terms) - 1, -1, -1):
         g = terms[i]
         if (x := bisect_right(lows, g)) and g < highs[x - 1]:
             if rows[i] is None:

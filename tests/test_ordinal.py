@@ -195,6 +195,12 @@ def test_interval_set_normalization():
     assert [str(iv) for iv in s] == ["[0, 10)"]
 
 
+def test_interval_set_repr_shows_its_text():
+    s = IntervalSet.of((O("0"), O("1")), (O("w"), O("w*2+1")))
+    assert repr(s) == "IntervalSet([0, 1) u [w, w*2+1))"
+    assert repr(IntervalSet.of()) == f"IntervalSet({IntervalSet.of()})"
+
+
 def test_interval_set_ops():
     a = IntervalSet.of((O("0"), O("w")), (O("w*2"), O("w*3")))
     b = IntervalSet.of((O("5"), O("w*2+5")))

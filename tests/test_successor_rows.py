@@ -1,7 +1,7 @@
 """Successor rows and the degree table against the code they replaced.
 
-``stability._grow`` reads the row of a successor a + 1 of zero or a limit
-off a's row, as ``P_j(a) u [a, a + 1)``, and only a limit looks for a stored
+``stability._grow`` reads the row of a successor b = a + n of zero or a
+limit a off a's row, as ``P_j(a) u [a, b)``, and only a limit looks for a stored
 row to adopt.  ``GeneralStep`` is the kernel as it was before: every point,
 successors included, takes one ``_step`` per key level, and every first
 query scans the compiled levels for a stored row.  It runs on a link-free
@@ -93,7 +93,7 @@ class GeneralStep:
 
 def query_points(p: StabilitySystem) -> list[Ordinal]:
     """0, 1, every key and value, and their successors x + 1 and x + 2,
-    below the bound, ascending: x + 2 takes the general step."""
+    below the bound, ascending."""
     pts = {ZERO, ONE}
     for _, entries in p.levels:
         for g, v in entries:
@@ -203,9 +203,9 @@ def test_no_step_for_a_successor_of_zero_or_a_limit(monkeypatch):
     caps = []
     step = stability._step
 
-    def counted(terms, rows, j, i, below, c):
-        caps.append(c)
-        return step(terms, rows, j, i, below, c)
+    def counted(*args):
+        caps.append(args[-1])
+        return step(*args)
 
     monkeypatch.setattr(stability, "_step", counted)
     pts = probe_points(p)
@@ -214,6 +214,34 @@ def test_no_step_for_a_successor_of_zero_or_a_limit(monkeypatch):
             pred_set(p, k, b)
     assert sum(1 for b in pts if b.terms[-1:] == ((0, 1),)) > 20
     assert caps and not [c for c in caps if c[-1:] == ((0, 1),)]
+
+
+def test_no_step_for_any_successor_after_the_compile_pass(monkeypatch):
+    """Once ``validate`` has compiled a system, a successor a + n of zero or
+    a limit a reads its sets off a's row for every n, not only n = 1."""
+    caps = []
+    step = stability._step
+
+    def counted(*args):
+        caps.append(args[-1])
+        return step(*args)
+
+    far = 0
+    for p in predecessor_law_systems(random.Random(41)):
+        pts = set(query_points(p))
+        for a in [x for x in pts if not x.terms or x.terms[-1][0]]:
+            pts.update(b for b in (a + ONE, a + O("2"), a + O("3")) if b < p.bound)
+        pts = sorted(pts, key=lambda x: x.terms)
+        levels = range(1, p.depth + 2)
+        ref = GeneralStep(p)
+        want = [[ref.pred(k, b) for k in levels] for b in pts]
+        validate(p)
+        with monkeypatch.context() as m:
+            m.setattr(stability, "_step", counted)
+            assert [[pred_set(p, k, b) for k in levels] for b in pts] == want, p
+        far += sum(1 for b in pts if b.terms[-1:] > ((0, 1),) and not b.terms[-1][0])
+    assert caps and not [c for c in caps if c and not c[-1][0]]
+    assert far > 5000
 
 
 def random_pattern(rng):

@@ -6,11 +6,12 @@ the same indentation, and caches the text of each entry and of each level
 tuple for one call.  The reference here maps every system of a payload
 through ``system_to_dict`` and hands the result to ``json.dumps``.
 
-``simulate._check_axioms`` tests the A1 gap and keys positions and declared
-pairs by CNF terms, ``StabilitySystem.exception_value`` bisects a level's
-entries, and ``simulate._derive_assignments`` looks each (earlier point,
-point) degree up once.  Each is compared with a test-local copy of the code
-it replaced, on generated patterns and systems, valid and not.
+``simulate._check_axioms`` keys positions and declared pairs by CNF terms
+and tests the A1 gap as the sum a + w + w, ``StabilitySystem.exception_value``
+bisects a level's entries, and ``simulate._derive_assignments`` looks each
+(earlier point, point) degree up once.  Each is compared with a test-local
+copy of the code it replaced, on generated patterns and systems, valid and
+not.
 """
 
 import json
@@ -22,7 +23,7 @@ from hypothesis import example, given, settings, strategies as st
 from stabforce import CheckReport, StabilitySystem, Violation, cli, extend_to_chain_limit
 from stabforce import stability
 from stabforce.gen import random_system
-from stabforce.ordinal import ZERO
+from stabforce.ordinal import OMEGA, ZERO, Ordinal
 from stabforce.ordinal import parse_ordinal as O
 from stabforce.simulate import (
     Assignment,
@@ -276,6 +277,37 @@ def test_gap_on_terms_at_its_edges():
                                                    PatternPoint(b, True, frozenset())), st=())
                 assert any(v.message.startswith("gap below") for v in
                            _check_axioms(pattern).violations)
+
+
+def gap_on_terms(t, u):
+    """The A1 gap test as it was on the CNF terms t of a and u of b: a + w*2
+    keeps a's terms above w and adds 2 to its coefficient of w."""
+    return (*[x for x in t if x[0] > 1], (1, next((c for e, c in t if e == 1), 0) + 2)) > u
+
+
+def random_position(rng):
+    """An ordinal below w^4 with random terms: zero, finite, a limit or lim2."""
+    exponents = sorted(rng.sample(range(4), rng.randrange(0, 5)), reverse=True)
+    return Ordinal(tuple((e, rng.randrange(1, 4)) for e in exponents))
+
+
+def test_a1_gap_sum_matches_the_terms_expression():
+    rng = random.Random(31)
+    seen = set()
+    for _ in range(3000):
+        a = random_position(rng)
+        for b in (random_position(rng), a + random_position(rng), a + OMEGA + random_position(rng),
+                  a + OMEGA + OMEGA + random_position(rng)):
+            if not a < b:
+                continue
+            pattern = StabilityPattern(points=(PatternPoint(a, True, frozenset()),
+                                               PatternPoint(b, True, frozenset())), st=())
+            small = any(v.message.startswith("gap below") for v in _check_axioms(pattern).violations)
+            assert small == gap_on_terms(a.terms, b.terms), (a, b)
+            kind = "zero" if a.is_zero else "finite" if not a.is_limit else \
+                "lim2" if a.is_lim2 else "limit"
+            seen.add((kind, small))
+    assert len(seen) == 8
 
 
 def test_assignments_match_on_constructions():
